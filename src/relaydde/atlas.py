@@ -104,6 +104,33 @@ def _complex_pair_angle(sp: Spectrum) -> float:
     return math.atan2(best.imag, best.real)
 
 
+def _bisect_crossings(f, omegas, tol):
+    """Bisect each sign change of f between samples down to tol; yield (omega, *f(omega)).
+
+    f(omega) is (value, fixed point), or None where undefined, which ends a
+    bisection early and drops a result.
+    """
+    vals = [f(om) for om in omegas]
+    for i in range(len(omegas) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a is None or b is None or a[0] == 0.0 or (a[0] > 0.0) == (b[0] > 0.0):
+            continue
+        lo, hi, flo = omegas[i], omegas[i + 1], a[0]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            got = f(mid)
+            if got is None:
+                break
+            if (flo > 0.0) == (got[0] > 0.0):
+                lo, flo = mid, got[0]
+            else:
+                hi = mid
+        om_star = 0.5 * (lo + hi)
+        got = f(om_star)
+        if got is not None:
+            yield om_star, *got
+
+
 def ns_locus(
     nu: int,
     Q: float,
@@ -120,46 +147,17 @@ def ns_locus(
     if nu < 1:
         return []  # the scalar slow-mode map has a single real root
 
-    def pair_modulus(omega):
+    def modulus_gap(omega):
         try:
             fp = fixed_point(nu, Parameters(Q=Q, Omega=omega, sigma=sigma))
-        except NoRoot:
+            m = _max_complex_modulus(spectrum_of(fp))
+        except (NoRoot, Degenerate):
             return None
-        try:
-            return _max_complex_modulus(spectrum_of(fp)), fp
-        except Degenerate:
-            return None
+        return None if m is None else (m - 1.0, fp)
 
     omegas = np.linspace(omega_range[0], omega_range[1], samples)
-    vals = []
-    for om in omegas:
-        got = pair_modulus(om)
-        vals.append(None if got is None or got[0] is None else got[0])
-
     points = []
-    for i in range(len(omegas) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None:
-            continue
-        if (a - 1.0) == 0.0 or (a - 1.0) * (b - 1.0) >= 0.0:
-            continue
-        lo, hi = omegas[i], omegas[i + 1]
-        flo = a - 1.0
-        while hi - lo > NS_OMEGA_TOL:
-            mid = 0.5 * (lo + hi)
-            got = pair_modulus(mid)
-            if got is None or got[0] is None:
-                break
-            fm = got[0] - 1.0
-            if (flo > 0.0) == (fm > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        om_star = 0.5 * (lo + hi)
-        got = pair_modulus(om_star)
-        if got is None or got[0] is None:
-            continue
-        _, fp = got
+    for om_star, _, fp in _bisect_crossings(modulus_gap, omegas, NS_OMEGA_TOL):
         phi = _complex_pair_angle(spectrum_of(fp))
         re, im = ns_equations(ns_coeffs(fp), nu, phi)
         if max(abs(re), abs(im)) > NS_EQ_TOL:
@@ -194,31 +192,13 @@ def pitchfork_locus(
             fp = fixed_point(nu, p)
             jc = jacobian_coeffs(fp)
         except (NoRoot, Degenerate):
-            return None, None
+            return None
         r = derive_rates(p)
         return (1.0 + jc.d) + math.exp(-2.0 * r.mu * fp.Tstar), fp
 
     omegas = np.linspace(omega_range[0], omega_range[1], samples)
-    vals = [pf_value(om)[0] for om in omegas]
     points = []
-    for i in range(len(omegas) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None or a == 0.0 or (a > 0.0) == (b > 0.0):
-            continue
-        lo, hi, flo = omegas[i], omegas[i + 1], a
-        while hi - lo > PF_OMEGA_TOL:
-            mid = 0.5 * (lo + hi)
-            fm, _ = pf_value(mid)
-            if fm is None:
-                break
-            if (flo > 0.0) == (fm > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        om_star = 0.5 * (lo + hi)
-        g, fp = pf_value(om_star)
-        if g is None or fp is None:
-            continue
+    for om_star, g, fp in _bisect_crossings(pf_value, omegas, PF_OMEGA_TOL):
         r = derive_rates(fp.params)
         if r.regime is Regime.UNDERDAMPED and r.omega_abs * fp.Tstar <= math.pi:
             continue  # bound on d excludes a -1 root here
@@ -302,6 +282,21 @@ def mode_segments(
     return segments
 
 
+def _mode_points(locus, nu, Q, omega_range, sigma, samples):
+    """locus(seg_nu, subrange, n) over each segment of the mode through nu.
+
+    Each segment gets a share of the samples proportional to its length,
+    and at least 32.
+    """
+    points = []
+    for seg_nu, rng in mode_segments(mode_base(nu, sigma), Q, omega_range, sigma):
+        if rng[1] - rng[0] <= 0:
+            continue
+        n = max(32, int(samples * (rng[1] - rng[0]) / (omega_range[1] - omega_range[0])))
+        points.extend(locus(seg_nu, rng, n))
+    return sorted(points, key=lambda b: b.Omega)
+
+
 def mode_ns_points(
     nu: int,
     Q: float,
@@ -310,14 +305,10 @@ def mode_ns_points(
     samples: int = DEFAULT_LOCUS_SAMPLES,
 ) -> list[BifurcationPoint]:
     """NS points along the full mode containing map frequency nu."""
-    base = mode_base(nu, sigma)
-    points = []
-    for seg_nu, rng in mode_segments(base, Q, omega_range, sigma):
-        if rng[1] - rng[0] <= 0:
-            continue
-        n = max(32, int(samples * (rng[1] - rng[0]) / (omega_range[1] - omega_range[0])))
-        points.extend(ns_locus(seg_nu, Q, rng, sigma=sigma, samples=n))
-    return sorted(points, key=lambda b: b.Omega)
+    return _mode_points(
+        lambda seg_nu, rng, n: ns_locus(seg_nu, Q, rng, sigma=sigma, samples=n),
+        nu, Q, omega_range, sigma, samples,
+    )
 
 
 def mode_pf_points(
@@ -327,15 +318,13 @@ def mode_pf_points(
     sigma: int = -1,
     samples: int = DEFAULT_LOCUS_SAMPLES,
 ) -> list[BifurcationPoint]:
-    base = mode_base(nu, sigma)
-    points = []
+    """Pitchfork points on the odd-frequency segments of the mode (sigma = -1 only)."""
     if sigma != -1:
-        return points
-    for seg_nu, rng in mode_segments(base, Q, omega_range, sigma):
-        if seg_nu % 2 == 1 and rng[1] - rng[0] > 0:
-            n = max(32, int(samples * (rng[1] - rng[0]) / (omega_range[1] - omega_range[0])))
-            points.extend(pitchfork_locus(seg_nu, Q, rng, samples=n))
-    return sorted(points, key=lambda b: b.Omega)
+        return []
+    return _mode_points(
+        lambda seg_nu, rng, n: pitchfork_locus(seg_nu, Q, rng, samples=n) if seg_nu % 2 else [],
+        nu, Q, omega_range, sigma, samples,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -588,20 +577,14 @@ def period_diagram(
     rows: list[BranchSample] = []
     w_lo, w_hi = passband(Q)
     for om in np.linspace(omega_range[0], omega_range[1], max(2, samples // 4)):
-        rows.append(
-            BranchSample(
-                kind="passband_lo", nu=None, Q=Q, Omega=float(om),
-                Tstar=None, invP=w_lo * om / (2.0 * math.pi), xH=None,
-                unstable_count=None, marker="",
+        for kind, w in (("passband_lo", w_lo), ("passband_hi", w_hi)):
+            rows.append(
+                BranchSample(
+                    kind=kind, nu=None, Q=Q, Omega=float(om),
+                    Tstar=None, invP=w * om / (2.0 * math.pi), xH=None,
+                    unstable_count=None, marker="",
+                )
             )
-        )
-        rows.append(
-            BranchSample(
-                kind="passband_hi", nu=None, Q=Q, Omega=float(om),
-                Tstar=None, invP=w_hi * om / (2.0 * math.pi), xH=None,
-                unstable_count=None, marker="",
-            )
-        )
     for nu0 in nus:
         base = mode_base(nu0, sigma)
         try:
@@ -610,20 +593,13 @@ def period_diagram(
             rows.extend(branch.markers)
         except LostBranch:
             pass  # markers below do not depend on the trace
-        for pt in mode_ns_points(base, Q, omega_range, sigma=sigma):
+        pts = mode_ns_points(base, Q, omega_range, sigma=sigma)
+        for pt in pts + mode_pf_points(base, Q, omega_range, sigma=sigma):
             rows.append(
                 BranchSample(
                     kind="marker", nu=pt.nu, Q=Q, Omega=pt.Omega,
                     Tstar=None, invP=None, xH=None, unstable_count=None,
-                    marker="NS",
-                )
-            )
-        for pt in mode_pf_points(base, Q, omega_range, sigma=sigma):
-            rows.append(
-                BranchSample(
-                    kind="marker", nu=pt.nu, Q=Q, Omega=pt.Omega,
-                    Tstar=None, invP=None, xH=None, unstable_count=None,
-                    marker="PF",
+                    marker=pt.kind,
                 )
             )
     return rows

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical failure (JSON error record on stderr),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,26 +26,46 @@ from .symmap import fixed_point, spectrum_of, x_H
 from .torus import perturbed_seed, torus_scan
 
 
+def _checked(convert, test, what):
+    """argparse type: convert the text and require test(value); else a usage error."""
+    def parse(text):
+        try:
+            value = convert(text)
+            ok = test(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: v > 0.0 and math.isfinite(v),
+                           "a positive finite number")
+_nu_list = _checked(lambda t: [int(tok) for tok in t.split(",") if tok.strip() != ""],
+                    lambda v: all(nu >= 0 for nu in v), "comma-separated non-negative integers")
+_resolution = _checked(lambda t: tuple(int(tok) for tok in t.split("x")),
+                       lambda v: len(v) == 2 and min(v) >= 2, "NQxNOMEGA, both at least 2")
+
+
 def _default_threads() -> int:
     env = os.environ.get("RELAY_DDE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return _positive_int(env) if env else os.cpu_count() or 1
 
 
-def _add_params(sp, sigma_default=-1):
-    sp.add_argument("--Q", type=float, required=True, help="filter quality factor")
-    sp.add_argument("--Omega", type=float, help="center frequency times delay")
+def _add_params(sp, sigma_default=-1, omega_required=True):
+    sp.add_argument("--Q", type=_positive_float, required=True, help="filter quality factor")
+    sp.add_argument("--Omega", type=_positive_float, required=omega_required,
+                    help="center frequency times delay")
     sp.add_argument("--sigma", type=int, default=sigma_default, choices=(-1, 1))
 
 
 def _add_output(sp):
     sp.add_argument("--out", help="output file (default: stdout for the data payload)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    sp.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS,
                     help="worker processes for scans (default: RELAY_DDE_THREADS or all cores)")
 
 
@@ -55,79 +76,79 @@ def build_parser() -> argparse.ArgumentParser:
         "bandpass-filtered delayed relay oscillator.",
     )
     ap.add_argument("--config", help="key=value file; command-line flags override it")
-    ap.add_argument("--threads", type=int, default=None,
+    ap.add_argument("--threads", type=_positive_int, default=None,
                     help="worker processes for scans (default: RELAY_DDE_THREADS or all cores)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="run one orbit and classify it")
     _add_params(sp)
-    sp.add_argument("--events", type=int, default=2000)
+    sp.add_argument("--events", type=_positive_int, default=2000)
     sp.add_argument("--horizon", type=float, default=None, help="stop at this time instead")
     sp.add_argument("--x0", type=float, default=0.5, help="constant-history value of x")
     sp.add_argument("--y0", type=float, default=0.0)
-    sp.add_argument("--seed-nu", type=int, default=None,
+    sp.add_argument("--seed-nu", type=_nonneg_int, default=None,
                     help="seed near the nu fixed point instead of a constant history")
     sp.add_argument("--seed-eps", type=float, default=1e-3)
-    sp.add_argument("--sample-dt", type=float, default=None,
+    sp.add_argument("--sample-dt", type=_positive_float, default=None,
                     help="dense output step between events")
     _add_output(sp)
 
     sp = sub.add_parser("fixedpoint", help="fixed point of the four-symbol map")
     _add_params(sp)
-    sp.add_argument("--nu", type=int, required=True)
+    sp.add_argument("--nu", type=_nonneg_int, required=True)
     _add_output(sp)
 
     sp = sub.add_parser("spectrum", help="characteristic roots at a fixed point")
     _add_params(sp)
-    sp.add_argument("--nu", type=int, required=True)
+    sp.add_argument("--nu", type=_nonneg_int, required=True)
     _add_output(sp)
 
     sp = sub.add_parser("locus", help="bifurcation points along one mode")
-    _add_params(sp)
+    _add_params(sp, omega_required=False)  # unused; accepted so configs carry over
     sp.add_argument("--kind", choices=("ns", "pf", "corner"), required=True)
-    sp.add_argument("--nu", type=int, required=True)
+    sp.add_argument("--nu", type=_nonneg_int, required=True)
     sp.add_argument("--omega-min", type=float, required=True)
     sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=600)
+    sp.add_argument("--samples", type=_positive_int, default=600)
     _add_output(sp)
 
     sp = sub.add_parser("region", help="existence/stability grid over (Q, Omega)")
-    sp.add_argument("--nus", type=str, required=True, help="comma-separated frequencies")
+    sp.add_argument("--nus", type=_nu_list, required=True, help="comma-separated frequencies")
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
     sp.add_argument("--q-min", type=float, required=True)
     sp.add_argument("--q-max", type=float, required=True)
     sp.add_argument("--omega-min", type=float, required=True)
     sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--resolution", type=str, default="400x400", help="NQxNOMEGA")
+    sp.add_argument("--resolution", type=_resolution, default="400x400", help="NQxNOMEGA")
     _add_output(sp)
 
     sp = sub.add_parser("period-diagram", help="inverse-period branch table vs Omega")
-    sp.add_argument("--nus", type=str, required=True)
-    sp.add_argument("--Q", type=float, required=True)
+    sp.add_argument("--nus", type=_nu_list, required=True)
+    sp.add_argument("--Q", type=_positive_float, required=True)
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
     sp.add_argument("--omega-min", type=float, required=True)
     sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=400)
+    sp.add_argument("--samples", type=_positive_int, default=400)
     _add_output(sp)
 
     sp = sub.add_parser("mode-trace", help="follow one mode across Omega")
-    sp.add_argument("--nu0", type=int, required=True, help="base frequency of the mode")
-    sp.add_argument("--Q", type=float, required=True)
+    sp.add_argument("--nu0", type=_nonneg_int, required=True, help="base frequency of the mode")
+    sp.add_argument("--Q", type=_positive_float, required=True)
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
     sp.add_argument("--omega-min", type=float, required=True)
     sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=400)
+    sp.add_argument("--samples", type=_positive_int, default=400)
     _add_output(sp)
 
     sp = sub.add_parser("torus-scan", help="H-event sections along an Omega scan")
-    sp.add_argument("--Q", type=float, required=True)
+    sp.add_argument("--Q", type=_positive_float, required=True)
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
-    sp.add_argument("--nu", type=int, default=3)
+    sp.add_argument("--nu", type=_nonneg_int, default=3)
     sp.add_argument("--omega-min", type=float, required=True)
     sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=12)
-    sp.add_argument("--events", type=int, default=40000)
-    sp.add_argument("--settle-events", type=int, default=None,
+    sp.add_argument("--steps", type=_positive_int, default=12)
+    sp.add_argument("--events", type=_positive_int, default=40000)
+    sp.add_argument("--settle-events", type=_positive_int, default=None,
                     help="budget for the first scan point (default: 2x --events; "
                     "transients near the torus bifurcation are slow)")
     sp.add_argument("--transient-frac", type=float, default=0.2)
@@ -141,7 +162,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags (flags override)."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    probe.add_argument("--threads", type=int)
+    probe.add_argument("--threads")  # validated by the full parser
     known, rest = probe.parse_known_args(argv)
     if not known.config:
         return argv
@@ -163,8 +184,11 @@ def _apply_config(argv: list[str]) -> list[str]:
     return out
 
 
-def _emit(args, header, rows, json_records):
+def _emit(args, header, rows, json_records=None):
+    """Write rows as CSV, or as JSON lines (json_records, else one header-keyed dict per row)."""
     if args.format == "json":
+        if json_records is None:
+            json_records = [dict(zip(header, r)) for r in rows]
         lines = [serialize.json_line(r) for r in json_records]
         text = "\n".join(lines) + ("\n" if lines else "")
     else:
@@ -243,32 +267,25 @@ def _cmd_locus(args) -> int:
     return 0
 
 
-def _parse_nus(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _cmd_region(args, threads: int) -> int:
-    nq, _, nom = args.resolution.partition("x")
+def _cmd_region(args) -> int:
     grid = atlas.region_scan(
-        _parse_nus(args.nus),
+        args.nus,
         (args.q_min, args.q_max),
         (args.omega_min, args.omega_max),
-        resolution=(int(nq), int(nom)),
+        resolution=args.resolution,
         sigma=args.sigma,
-        threads=threads,
+        threads=args.threads,
     )
     rows = list(serialize.region_rows(grid))
-    _emit(args, serialize.REGION_CSV_HEADER, rows,
-          [dict(zip(serialize.REGION_CSV_HEADER, r)) for r in rows])
+    _emit(args, serialize.REGION_CSV_HEADER, rows)
     return 0
 
 
 def _cmd_period_diagram(args) -> int:
-    rows = atlas.period_diagram(_parse_nus(args.nus), args.Q,
+    rows = atlas.period_diagram(args.nus, args.Q,
                                 (args.omega_min, args.omega_max),
                                 sigma=args.sigma, samples=args.samples)
-    _emit(args, serialize.BRANCH_CSV_HEADER, serialize.branch_rows(rows),
-          [dict(zip(serialize.BRANCH_CSV_HEADER, r)) for r in serialize.branch_rows(rows)])
+    _emit(args, serialize.BRANCH_CSV_HEADER, list(serialize.branch_rows(rows)))
     return 0
 
 
@@ -276,8 +293,7 @@ def _cmd_mode_trace(args) -> int:
     branch = atlas.mode_trace(args.nu0, args.Q, (args.omega_min, args.omega_max),
                               sigma=args.sigma, samples=args.samples)
     rows = list(serialize.branch_rows(branch.samples + branch.markers))
-    _emit(args, serialize.BRANCH_CSV_HEADER, rows,
-          [dict(zip(serialize.BRANCH_CSV_HEADER, r)) for r in rows])
+    _emit(args, serialize.BRANCH_CSV_HEADER, rows)
     return 0
 
 
@@ -303,37 +319,33 @@ def _cmd_torus_scan(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "fixedpoint": _cmd_fixedpoint,
+    "spectrum": _cmd_fixedpoint,
+    "locus": _cmd_locus,
+    "region": _cmd_region,
+    "period-diagram": _cmd_period_diagram,
+    "mode-trace": _cmd_mode_trace,
+    "torus-scan": _cmd_torus_scan,
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _apply_config(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    threads = getattr(args, "threads", None) or _default_threads()
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command in ("fixedpoint", "spectrum"):
-            return _cmd_fixedpoint(args)
-        if args.command == "locus":
-            return _cmd_locus(args)
-        if args.command == "region":
-            return _cmd_region(args, threads)
-        if args.command == "period-diagram":
-            return _cmd_period_diagram(args)
-        if args.command == "mode-trace":
-            return _cmd_mode_trace(args)
-        if args.command == "torus-scan":
-            return _cmd_torus_scan(args)
-        ap.error(f"unknown command {args.command}")
-    except RelayDDEError as exc:
+        args.threads = args.threads or _default_threads()
+    except argparse.ArgumentTypeError as exc:
+        ap.error(f"RELAY_DDE_THREADS: {exc}")
+    try:
+        return _COMMANDS[args.command](args)
+    except (RelayDDEError, ValueError, OSError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(serialize.json_line(err), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        print(serialize.json_line(err), file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

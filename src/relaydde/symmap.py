@@ -180,40 +180,40 @@ def t_star_candidates(nu: int, p: Parameters, grid: int = T_STAR_GRID) -> list[f
     return []
 
 
+def _sign_changes(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of exact zeros, and of brackets [i, i+1] with a sign change and no zero at i."""
+    pos = res > 0.0
+    zero = res == 0.0
+    return zero, (pos[:-1] != pos[1:]) & ~zero[:-1]
+
+
 def _scan_slow_gap(r: Rates, gap_max: float) -> Optional[float]:
+    """First root on a geometric grid of the gap T* - 1 (nu = 0 only)."""
     gaps = np.geomspace(1e-15, gap_max, 256)
-    res = [_t_star_residual(1.0 + g, 0, r) for g in gaps]
-    for i in range(len(gaps) - 1):
-        if res[i] == 0.0:
-            return 1.0 + gaps[i]
-        if (res[i] > 0.0) != (res[i + 1] > 0.0):
-            z = brentq(
-                lambda g: _t_star_residual(1.0 + g, 0, r),
-                gaps[i], gaps[i + 1], xtol=1e-18, rtol=1e-15, maxiter=200,
-            )
-            return 1.0 + z
-    return None
+    res = np.array([_t_star_residual(1.0 + g, 0, r) for g in gaps])
+    zero, change = _sign_changes(res)
+    hits = np.flatnonzero(zero[:-1] | change)
+    if not hits.size:
+        return None
+    i = hits[0]
+    if zero[i]:
+        return float(1.0 + gaps[i])
+    return 1.0 + brentq(
+        lambda g: _t_star_residual(1.0 + g, 0, r),
+        gaps[i], gaps[i + 1], xtol=1e-18, rtol=1e-15, maxiter=200,
+    )
 
 
 def _scan_roots(nu, r, lo, hi, n):
+    """Exact grid zeros, then Brent on each sign-change bracket (n points + 2 edge probes)."""
     span = hi - lo
     eps = span * 1e-12
     ts = np.concatenate(([lo + eps], np.linspace(lo, hi, n + 2)[1:-1], [hi - eps]))
-    res = _t_star_residual_vec(ts, nu, r)
-    roots = []
-    for i in range(len(ts) - 1):
-        a, b = res[i], res[i + 1]
-        if a == 0.0:
-            roots.append(ts[i])
-        elif (a > 0.0) != (b > 0.0):
-            roots.append(
-                brentq(
-                    _t_star_residual, ts[i], ts[i + 1], args=(nu, r),
-                    xtol=T_STAR_XTOL, maxiter=200,
-                )
-            )
-    if len(res) and res[-1] == 0.0:
-        roots.append(ts[-1])
+    zero, change = _sign_changes(_t_star_residual_vec(ts, nu, r))
+    roots = ts[zero].tolist() + [
+        brentq(_t_star_residual, ts[i], ts[i + 1], args=(nu, r), xtol=T_STAR_XTOL, maxiter=200)
+        for i in np.flatnonzero(change)
+    ]
     return sorted(set(roots))
 
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from relaydde.cli import main
 
 BIN = [sys.executable, "-m", "relaydde.cli"]
@@ -137,12 +139,66 @@ class TestTorusScanCommand:
         assert out.read_text().splitlines()[0] == "Q,Omega,tag,x,y"
 
 
+REGION = ["region", "--nus", "3", "--q-min", "1.4", "--q-max", "1.6",
+          "--omega-min", "9", "--omega-max", "11", "--resolution", "2x2"]
+TORUS = ["torus-scan", "--Q", "1.5", "--omega-min", "14.5", "--omega-max", "14.6"]
+
+
 class TestConfigAndErrors:
     def test_usage_error_exit_2(self):
-        res = run_cli(["simulate", "--Q", "1.5"])  # missing --Omega -> None
-        assert res.returncode in (1, 2)
+        res = run_cli(["simulate", "--Q", "1.5"])  # missing --Omega
+        assert res.returncode == 2
+        assert "--Omega" in res.stderr and "Traceback" not in res.stderr
         res = run_cli(["locus", "--kind", "ns", "--Q", "1.5"])  # missing required
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--Q", "1.5"],
+        ["fixedpoint", "--Q", "1.5", "--nu", "3"],
+        ["spectrum", "--Q", "1.5", "--nu", "3"],
+        REGION + ["--resolution", "4"],
+        REGION + ["--resolution", "4x"],
+        REGION + ["--resolution", "1x5"],
+        REGION + ["--resolution", "3x3x3"],
+        REGION + ["--nus", "1,-2"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--events", "-5"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--events", "0"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--sample-dt", "0"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--seed-nu", "-1"],
+        TORUS + ["--steps", "0"],
+        TORUS + ["--events", "-1"],
+        TORUS + ["--settle-events", "0"],
+        ["locus", "--kind", "ns", "--nu", "3", "--Q", "1.5", "--omega-min", "2",
+         "--omega-max", "20", "--samples", "0"],
+        ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "9",
+         "--omega-max", "11", "--samples", "-3"],
+        REGION + ["--threads", "0"],
+        ["--threads", "-1"] + REGION,
+        ["fixedpoint", "--Q", "nan", "--Omega", "14", "--nu", "3"],
+        ["fixedpoint", "--Q", "inf", "--Omega", "14", "--nu", "3"],
+        ["fixedpoint", "--Q", "1.5", "--Omega", "nan", "--nu", "3"],
+        ["fixedpoint", "--Q", "1.5", "--Omega", "-inf", "--nu", "3"],
+        ["fixedpoint", "--Q", "1.5", "--Omega", "14", "--nu", "-1"],
+        ["mode-trace", "--nu0", "-1", "--Q", "1.5", "--omega-min", "9", "--omega-max", "11"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_argument_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_bad_thread_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("RELAY_DDE_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(REGION)
+        assert exc.value.code == 2
+        assert "RELAY_DDE_THREADS" in capsys.readouterr().err
+
+    def test_locus_needs_no_omega(self, capsys):
+        rc = main(["locus", "--kind", "corner", "--nu", "2", "--Q", "1.5",
+                   "--omega-min", "5", "--omega-max", "30"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """Output formatting: 17-significant-digit numbers, schema versioning."""
 
+import argparse
 import json
 
 import pytest
@@ -43,7 +44,8 @@ def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("RELAY_DDE_THREADS", "3")
     assert _default_threads() == 3
     monkeypatch.setenv("RELAY_DDE_THREADS", "junk")
-    assert _default_threads() >= 1
+    with pytest.raises(argparse.ArgumentTypeError):
+        _default_threads()  # the CLI turns this into a usage error
 
 
 def test_mode_trace_lost_branch_reports_last_good():

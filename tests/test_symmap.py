@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from relaydde import symmap
+from relaydde.atlas import corner_omega
 from relaydde.errors import Degenerate, InvalidState, NoCrossing, NoRoot
 from relaydde.events import simulate, step
 from relaydde.flow import decayed_gcos_gsinc, gsinc
 from relaydde.params import Parameters, Regime, derive_rates
 from relaydde.symmap import (
+    T_STAR_GRID,
+    T_STAR_XTOL,
     FixedPoint,
     StateVector,
     char_polynomial,
@@ -23,6 +28,7 @@ from relaydde.symmap import (
     solve_T_star,
     spectrum_of,
     state_from_fixed_point,
+    t_star_bracket,
     t_star_candidates,
     x_H,
     z_of,
@@ -182,6 +188,143 @@ class TestTStar:
         cands = t_star_candidates(3, Parameters(Q=1.5, Omega=12.0, sigma=-1))
         assert cands == sorted(cands)
         assert len(cands) >= 2  # coexisting families place two roots here
+
+
+def reference_scan_roots(nu, r, lo, hi, n):
+    """Element-by-element sign-change scan, the oracle for symmap._scan_roots.
+
+    Looks the residuals up on the symmap module so that a test can swap in
+    a synthetic residual for both.
+    """
+    span = hi - lo
+    eps = span * 1e-12
+    ts = np.concatenate(([lo + eps], np.linspace(lo, hi, n + 2)[1:-1], [hi - eps]))
+    res = symmap._t_star_residual_vec(ts, nu, r)
+    roots = []
+    for i in range(len(ts) - 1):
+        a, b = res[i], res[i + 1]
+        if a == 0.0:
+            roots.append(ts[i])
+        elif (a > 0.0) != (b > 0.0):
+            roots.append(
+                brentq(
+                    symmap._t_star_residual, ts[i], ts[i + 1], args=(nu, r),
+                    xtol=T_STAR_XTOL, maxiter=200,
+                )
+            )
+    if len(res) and res[-1] == 0.0:
+        roots.append(ts[-1])
+    return sorted(set(roots))
+
+
+def reference_slow_gap(r, gap_max):
+    """Element-by-element first-root search on the nu = 0 gap grid."""
+    gaps = np.geomspace(1e-15, gap_max, 256)
+    res = [symmap._t_star_residual(1.0 + g, 0, r) for g in gaps]
+    for i in range(len(gaps) - 1):
+        if res[i] == 0.0:
+            return 1.0 + gaps[i]
+        if (res[i] > 0.0) != (res[i + 1] > 0.0):
+            z = brentq(
+                lambda g: symmap._t_star_residual(1.0 + g, 0, r),
+                gaps[i], gaps[i + 1], xtol=1e-18, rtol=1e-15, maxiter=200,
+            )
+            return 1.0 + z
+    return None
+
+
+def _assert_scan_matches_reference(nu, r, n):
+    lo, hi = t_star_bracket(nu, r)
+    got = symmap._scan_roots(nu, r, lo, hi, n)
+    assert got == reference_scan_roots(nu, r, lo, hi, n)
+    assert all(type(t) is float for t in got)
+    return got
+
+
+SCAN_POINTS = [
+    (1.5, 14.0), (2.5, 37.0), (0.8, 5.0), (1.5, 12.0),  # underdamped
+    (0.4, 7.0), (0.3, 25.0), (0.45, 10.0), (0.2, 2.0),  # overdamped
+    (0.5, 3.0), (0.5, 20.0),                             # critical
+]
+
+
+class TestScanOracle:
+    """The vectorised bracket finder returns the oracle's roots bit for bit."""
+
+    @pytest.mark.parametrize("Q,Omega", SCAN_POINTS)
+    def test_regimes_all_frequencies(self, Q, Omega):
+        r = derive_rates(Parameters(Q=Q, Omega=Omega))
+        for nu in range(9):
+            for n in (T_STAR_GRID, 8 * T_STAR_GRID):
+                _assert_scan_matches_reference(nu, r, n)
+
+    @pytest.mark.parametrize("rel", [-1e-9, 1e-9, -1e-4, 1e-4])
+    def test_near_corner_lines(self, rel):
+        for nu in range(9):
+            for K in (nu + 1, 2 * nu + 1):
+                r = derive_rates(Parameters(Q=1.5, Omega=corner_omega(1.5, K) * (1.0 + rel)))
+                for n in (T_STAR_GRID, 8 * T_STAR_GRID):
+                    _assert_scan_matches_reference(nu, r, n)
+
+    def test_refined_grid_finds_roots_the_coarse_grid_misses(self):
+        # Near Omega = 3241 the nu = 1 residual oscillates about twice per
+        # 512-point grid step, so the coarse grid samples every wave at the
+        # same phase and sees no sign change; the 8x grid resolves them.
+        p = Parameters(Q=5.0, Omega=3241.0)
+        r = derive_rates(p)
+        assert _assert_scan_matches_reference(1, r, T_STAR_GRID) == []
+        fine = _assert_scan_matches_reference(1, r, 8 * T_STAR_GRID)
+        assert len(fine) > 1000
+        assert t_star_candidates(1, p) == fine
+
+    @pytest.mark.parametrize("Q,Omega", [(0.4, 50.0), (0.35, 60.0), (0.45, 200.0)])
+    def test_slow_gap_fallback(self, Q, Omega):
+        p = Parameters(Q=Q, Omega=Omega)
+        r = derive_rates(p)
+        for n in (T_STAR_GRID, 8 * T_STAR_GRID):
+            assert _assert_scan_matches_reference(0, r, n) == []
+        lo, hi = t_star_bracket(0, r)
+        want = reference_slow_gap(r, hi - lo)
+        got = symmap._scan_slow_gap(r, hi - lo)
+        assert got == want
+        assert t_star_candidates(0, p) == ([] if want is None else [want])
+
+    def test_synthetic_exact_zeros(self, monkeypatch):
+        # Zeros at the first, interior and last grid points, next to every
+        # kind of neighbour: +/0, -/0, 0/0, 0/+ and 0/-.
+        n, lo, hi = 12, 0.0, 1.0
+        eps = (hi - lo) * 1e-12
+        ts = np.concatenate(([lo + eps], np.linspace(lo, hi, n + 2)[1:-1], [hi - eps]))
+        vals = np.array([0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 3.0, -1.0, -3.0, 2.0,
+                         -1.0, 0.0, -4.0, 0.0])
+        monkeypatch.setattr(symmap, "_t_star_residual_vec",
+                            lambda T, nu, r: np.interp(T, ts, vals))
+        monkeypatch.setattr(symmap, "_t_star_residual",
+                            lambda T, nu, r: float(np.interp(T, ts, vals)))
+        calls = []
+        monkeypatch.setattr(symmap, "brentq", lambda *a, **k: calls.append(a) or brentq(*a, **k))
+        got = symmap._scan_roots(0, None, lo, hi, n)
+        assert got == reference_scan_roots(0, None, lo, hi, n)
+        assert {ts[0], ts[2], ts[4], ts[5], ts[11], ts[-1]} <= set(got)
+        # Brent runs only on sign changes whose left end is not a zero: 1/0,
+        # 3/-1, -3/2 and 2/-1.  The last point is a root through its zero alone.
+        assert [a[1] for a in calls] == [ts[1], ts[6], ts[8], ts[9]]
+
+    @pytest.mark.parametrize("zero_at,change_at", [(40, 100), (100, 40)])
+    def test_synthetic_slow_gap_returns_first_root(self, monkeypatch, zero_at, change_at):
+        gap_max = 0.5
+        gaps = np.geomspace(1e-15, gap_max, 256)
+        t_zero, t_change = 1.0 + gaps[zero_at], 1.0 + 0.5 * (gaps[change_at] + gaps[change_at + 1])
+
+        def residual(T, nu, r):
+            if T == t_zero:
+                return 0.0
+            return -1.0 if T < t_change else 1.0  # no sign change into the zero
+
+        monkeypatch.setattr(symmap, "_t_star_residual", residual)
+        got = symmap._scan_slow_gap(None, gap_max)
+        assert got == reference_slow_gap(None, gap_max)
+        assert got == (t_zero if zero_at < change_at else pytest.approx(t_change))
 
 
 def _has_root(nu, om):
