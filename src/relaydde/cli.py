@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run one orbit and classify it")
     _add_params(sp)
     sp.add_argument("--events", type=_positive_int, default=2000)
-    sp.add_argument("--horizon", type=float, default=None, help="stop at this time instead")
+    sp.add_argument("--horizon", type=_positive_float, default=None, help="stop at this time instead")
     sp.add_argument("--x0", type=float, default=0.5, help="constant-history value of x")
     sp.add_argument("--y0", type=float, default=0.0)
     sp.add_argument("--seed-nu", type=_nonneg_int, default=None,
@@ -107,18 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sp, omega_required=False)  # unused; accepted so configs carry over
     sp.add_argument("--kind", choices=("ns", "pf", "corner"), required=True)
     sp.add_argument("--nu", type=_nonneg_int, required=True)
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
+    sp.add_argument("--omega-min", type=_positive_float, required=True)
+    sp.add_argument("--omega-max", type=_positive_float, required=True)
     sp.add_argument("--samples", type=_positive_int, default=600)
     _add_output(sp)
 
     sp = sub.add_parser("region", help="existence/stability grid over (Q, Omega)")
     sp.add_argument("--nus", type=_nu_list, required=True, help="comma-separated frequencies")
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
-    sp.add_argument("--q-min", type=float, required=True)
-    sp.add_argument("--q-max", type=float, required=True)
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
+    sp.add_argument("--q-min", type=_positive_float, required=True)
+    sp.add_argument("--q-max", type=_positive_float, required=True)
+    sp.add_argument("--omega-min", type=_positive_float, required=True)
+    sp.add_argument("--omega-max", type=_positive_float, required=True)
     sp.add_argument("--resolution", type=_resolution, default="400x400", help="NQxNOMEGA")
     _add_output(sp)
 
@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nus", type=_nu_list, required=True)
     sp.add_argument("--Q", type=_positive_float, required=True)
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
+    sp.add_argument("--omega-min", type=_positive_float, required=True)
+    sp.add_argument("--omega-max", type=_positive_float, required=True)
     sp.add_argument("--samples", type=_positive_int, default=400)
     _add_output(sp)
 
@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu0", type=_nonneg_int, required=True, help="base frequency of the mode")
     sp.add_argument("--Q", type=_positive_float, required=True)
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
+    sp.add_argument("--omega-min", type=_positive_float, required=True)
+    sp.add_argument("--omega-max", type=_positive_float, required=True)
     sp.add_argument("--samples", type=_positive_int, default=400)
     _add_output(sp)
 
@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Q", type=_positive_float, required=True)
     sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
     sp.add_argument("--nu", type=_nonneg_int, default=3)
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
+    sp.add_argument("--omega-min", type=_positive_float, required=True)
+    sp.add_argument("--omega-max", type=_positive_float, required=True)
     sp.add_argument("--steps", type=_positive_int, default=12)
     sp.add_argument("--events", type=_positive_int, default=40000)
     sp.add_argument("--settle-events", type=_positive_int, default=None,

@@ -77,6 +77,28 @@ def decayed_gcos_gsinc(t: float, r: Rates) -> tuple[float, float]:
     return 0.5 * (ep + em), 0.5 * (ep - em) / w
 
 
+def decayed_gcos_gsinc_array(t: np.ndarray, r: Rates) -> tuple[np.ndarray, np.ndarray]:
+    """decayed_gcos_gsinc over a 1-D array of t >= 0, branch for branch."""
+    w2t2 = r.omega2 * t * t
+    series = np.abs(w2t2) < SERIES_THRESHOLD
+    w = r.omega_abs
+    if r.omega2 > 0.0:
+        decay = np.exp(-r.mu * t)
+        egc, egs = decay * np.cos(w * t), decay * (np.sin(w * t) / w)
+    elif r.omega2 < 0.0:
+        ep = np.exp((w - r.mu) * t)
+        em = np.exp(-(w + r.mu) * t)
+        egc, egs = 0.5 * (ep + em), 0.5 * (ep - em) / w
+    else:  # critical: omega2 = 0 puts every t in the series
+        egc, egs = np.empty_like(t), np.empty_like(t)
+    if series.any():
+        ts, z = t[series], w2t2[series]
+        decay = np.exp(-r.mu * ts)
+        egc[series] = decay * (1.0 - z / 2.0 + z * z / 24.0)
+        egs[series] = decay * (ts * (1.0 - z / 6.0 + z * z / 120.0))
+    return egc, egs
+
+
 def flow_matrix(t: float, r: Rates) -> np.ndarray:
     """State-transition matrix A(t) of the frozen-feedback flow, t >= 0."""
     egc, egs = decayed_gcos_gsinc(t, r)
@@ -97,11 +119,10 @@ def flow_offset(t: float, r: Rates) -> np.ndarray:
     return np.array([2.0 * r.mu * egs, 1.0 - (egc + r.mu * egs)])
 
 
-def apply_flow(t: float, v: Headpoint, s: int, r: Rates) -> Headpoint:
-    """Advance the headpoint by time t under feedback frozen at s in {+1, -1}."""
+def _advance(egc, egs, v: Headpoint, s: int, r: Rates):
+    """(x, y) of A(t)v + s b(t) from the decayed pair; scalars or arrays alike."""
     if s not in (-1, 1):
         raise ValueError(f"flow sign must be +1 or -1, got {s}")
-    egc, egs = decayed_gcos_gsinc(t, r)
     mu = r.mu
     bx = 2.0 * mu * egs
     by_decay = egc + mu * egs
@@ -111,7 +132,17 @@ def apply_flow(t: float, v: Headpoint, s: int, r: Rates) -> Headpoint:
         + by_decay * v.y
         + s * (1.0 - by_decay)
     )
-    return Headpoint(x, y)
+    return x, y
+
+
+def apply_flow(t: float, v: Headpoint, s: int, r: Rates) -> Headpoint:
+    """Advance the headpoint by time t under feedback frozen at s in {+1, -1}."""
+    return Headpoint(*_advance(*decayed_gcos_gsinc(t, r), v, s, r))
+
+
+def apply_flow_array(t: np.ndarray, v: Headpoint, s: int, r: Rates) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) arrays of apply_flow over a 1-D array of t >= 0."""
+    return _advance(*decayed_gcos_gsinc_array(t, r), v, s, r)
 
 
 def flow_x(t: float, v: Headpoint, s: int, r: Rates) -> float:

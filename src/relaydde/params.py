@@ -61,11 +61,6 @@ class Rates:
     omega_abs: float
 
     @property
-    def omega(self) -> float:
-        """Angular rate; only meaningful in the underdamped regime."""
-        return self.omega_abs
-
-    @property
     def half_wave(self) -> float:
         """pi / omega, the zero-crossing spacing of the underdamped flow."""
         if self.regime is not Regime.UNDERDAMPED:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from typing import Any, Iterable, Optional
 
 from .atlas import BifurcationPoint, BranchSample, RegionGrid
@@ -23,11 +22,11 @@ SCHEMA_VERSION = 1
 
 def fmt(x: Any) -> str:
     """Render one value for CSV output; floats get 17 significant digits."""
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return format(x, ".17g")
     if x is None:
         return ""
@@ -75,8 +74,7 @@ def write_csv(header: list[str], rows: Iterable[Iterable[Any]], path_or_buf) -> 
     fh = open(path_or_buf, "w", newline="") if own else path_or_buf
     try:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
     finally:
         if own:
             fh.close()
@@ -117,10 +115,6 @@ def orbit_record_json(rec: OrbitRecord, cls: Optional[OrbitClass] = None) -> dic
 
 
 ORBIT_CSV_HEADER = ["t", "x", "y"]
-
-
-def orbit_samples_rows(rec: OrbitRecord):
-    return rec.samples
 
 
 FIXEDPOINT_CSV_HEADER = [

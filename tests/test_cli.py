@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from relaydde.cli import main
+from relaydde.cli import build_parser, main
 
 BIN = [sys.executable, "-m", "relaydde.cli"]
 
@@ -180,12 +180,36 @@ class TestConfigAndErrors:
         ["fixedpoint", "--Q", "1.5", "--Omega", "-inf", "--nu", "3"],
         ["fixedpoint", "--Q", "1.5", "--Omega", "14", "--nu", "-1"],
         ["mode-trace", "--nu0", "-1", "--Q", "1.5", "--omega-min", "9", "--omega-max", "11"],
+        REGION + ["--q-min", "0"],
+        REGION + ["--q-max", "-1.5"],
+        REGION + ["--omega-min", "inf"],
+        REGION + ["--omega-max", "nan"],
+        ["locus", "--kind", "ns", "--nu", "3", "--Q", "1.5", "--omega-min", "-5",
+         "--omega-max", "20"],
+        ["locus", "--kind", "pf", "--nu", "3", "--Q", "1.5", "--omega-min", "2",
+         "--omega-max", "0"],
+        ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "nan", "--omega-max", "11"],
+        ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "9", "--omega-max", "0"],
+        ["period-diagram", "--nus", "2", "--Q", "1.5", "--omega-min", "0", "--omega-max", "11"],
+        ["period-diagram", "--nus", "2", "--Q", "1.5", "--omega-min", "9", "--omega-max", "inf"],
+        TORUS + ["--omega-min", "-14.5"],
+        TORUS + ["--omega-max", "0"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--horizon", "-1"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--horizon", "nan"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_argument_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        TORUS[:3] + ["--omega-min", "14.6", "--omega-max", "14.5"],
+        ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "11", "--omega-max", "9"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_reversed_range_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.omega_min > args.omega_max
 
     def test_bad_thread_env_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("RELAY_DDE_THREADS", "abc")

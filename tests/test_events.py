@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from relaydde import events
 from relaydde.errors import CornerCollision
 from relaydde.events import (
+    OrbitRecord,
     OrbitTag,
     SystemState,
     classify,
@@ -17,7 +19,7 @@ from relaydde.events import (
     simulate,
     step,
 )
-from relaydde.flow import Headpoint, apply_flow
+from relaydde.flow import SERIES_THRESHOLD, Headpoint, apply_flow
 from relaydde.params import Parameters, derive_rates
 from relaydde.symmap import fixed_point, state_from_fixed_point, z_of
 from relaydde import serialize
@@ -271,3 +273,88 @@ class TestSerialization:
         assert len(lines) == len(rec.samples) + 1
         t, x, y = map(float, lines[1].split(","))
         assert (t, x, y) == rec.samples[0]
+
+
+def _sample_segment_loop(rec, st, t_end, s, r, dt):
+    """Reference dense sampler: one scalar apply_flow call per sample time."""
+    n = int((t_end - st.t) / dt)
+    for i in range(n + 1):
+        tau = i * dt
+        if st.t + tau >= t_end:
+            break
+        hp = apply_flow(tau, st.v, s, r)
+        rec.samples.append((st.t + tau, hp.x, hp.y))
+
+
+def _assert_samples_match(got, want, tol=1e-15):
+    # Same rows and bit-identical times; x and y may move by the last ulp of
+    # the vectorised exp/cos/sin.
+    assert len(got) == len(want) > 0
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for (_, x, y), (_, xr, yr) in zip(got, want):
+        assert abs(x - xr) <= tol and abs(y - yr) <= tol
+
+
+class TestDenseSamplingOracle:
+    @pytest.mark.parametrize("p, seed_nu", [
+        (P_FAST, 3),                                   # underdamped
+        (P_SLOW, 2),                                   # overdamped
+        (Parameters(Q=0.5, Omega=7.0, sigma=-1), None),  # critical
+    ], ids=["underdamped", "overdamped", "critical"])
+    @pytest.mark.parametrize("dt", [1e-3, 0.0123])
+    def test_orbit_matches_per_sample_loop(self, p, seed_nu, dt, monkeypatch):
+        st0 = (initial_state(0.5) if seed_nu is None
+               else perturbed_seed(fixed_point(seed_nu, p), 1e-3))
+        got = simulate(st0, p, max_events=60, sample_dt=dt)
+        monkeypatch.setattr(events, "_sample_segment", _sample_segment_loop)
+        want = simulate(st0, p, max_events=60, sample_dt=dt)
+        assert got.events == want.events
+        _assert_samples_match(got.samples, want.samples)
+
+    @pytest.mark.parametrize("Q", [0.5 + 1e-7, 0.5 - 1e-7])
+    def test_segment_starting_in_series(self, Q):
+        p = Parameters(Q=Q, Omega=7.0, sigma=-1)
+        r = derive_rates(p)
+        dt = 2e-3
+        # The first several sample times sit below the series threshold.
+        assert abs(r.omega2) * (5 * dt) ** 2 < SERIES_THRESHOLD
+        assert abs(r.omega2) * 0.5 ** 2 > SERIES_THRESHOLD
+        # Overdamped, e^{-mu t} sinh(w t)/w is 0.5 (e^{(w-mu)t} - e^{-(w+mu)t}) / w,
+        # which cancels for small w t: a one-ulp change of either exponential
+        # moves it by about eps / w, and the flow multiplies that by up to 4 mu.
+        tol = 1e-15 if Q > 0.5 else 4.0 * r.mu * np.finfo(float).eps / r.omega_abs
+        st = SystemState(t=0.25, v=Headpoint(0.3, -0.2), zeros=(), hist_sign=1, cur_sign=1)
+        for s in (1, -1):
+            got, want = OrbitRecord(params=p), OrbitRecord(params=p)
+            events._sample_segment(got, st, 0.75, s, r, dt)
+            _sample_segment_loop(want, st, 0.75, s, r, dt)
+            _assert_samples_match(got.samples, want.samples, tol)
+
+    def test_long_overdamped_segment_stays_finite(self):
+        p = Parameters(Q=0.1, Omega=100.0, sigma=-1)
+        r = derive_rates(p)
+        t_len = 3.0
+        with pytest.raises(OverflowError):
+            math.cosh(r.omega_abs * t_len)  # the unsplit form would overflow
+        st = SystemState(t=1.0, v=Headpoint(0.5, 0.1), zeros=(), hist_sign=1, cur_sign=1)
+        got, want = OrbitRecord(params=p), OrbitRecord(params=p)
+        events._sample_segment(got, st, st.t + t_len, -1, r, 0.01)
+        _sample_segment_loop(want, st, st.t + t_len, -1, r, 0.01)
+        assert all(math.isfinite(v) for row in got.samples for v in row)
+        _assert_samples_match(got.samples, want.samples)
+
+    def test_times_stop_before_segment_end(self):
+        # t_end lands exactly on a sample time: that sample belongs to the
+        # next segment, as in the per-sample loop.
+        r = derive_rates(P_FAST)
+        st = SystemState(t=0.0, v=Headpoint(0.5, 0.0), zeros=(), hist_sign=1, cur_sign=1)
+        got, want = OrbitRecord(params=P_FAST), OrbitRecord(params=P_FAST)
+        events._sample_segment(got, st, 0.5, -1, r, 0.125)
+        _sample_segment_loop(want, st, 0.5, -1, r, 0.125)
+        assert [row[0] for row in got.samples] == [0.0, 0.125, 0.25, 0.375]
+        _assert_samples_match(got.samples, want.samples)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_sample_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="sample_dt"):
+            simulate(initial_state(0.5), P_FAST, max_events=5, sample_dt=dt)

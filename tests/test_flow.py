@@ -4,8 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaydde.flow import Headpoint, apply_flow, derivative, flow_matrix, flow_offset, gcos, gsinc
+from relaydde.flow import (
+    Headpoint,
+    apply_flow,
+    apply_flow_array,
+    decayed_gcos_gsinc,
+    decayed_gcos_gsinc_array,
+    derivative,
+    flow_matrix,
+    flow_offset,
+    gcos,
+    gsinc,
+)
 from relaydde.params import Parameters, Regime, derive_rates
 
 
@@ -93,6 +106,61 @@ class TestGcosGsinc:
         for t in (0.05, 0.5, 1.0):
             ident = gcos(t, r) ** 2 + r.omega2 * gsinc(t, r) ** 2
             assert ident == pytest.approx(1.0, abs=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestArrayForm:
+    """The array evaluator against the scalar one, branch by branch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        Q=st.one_of(
+            st.floats(0.05, 5.0),
+            st.floats(0.5 - 1e-6, 0.5 + 1e-6),
+            st.just(0.5),
+        ),
+        Omega=st.floats(0.1, 60.0),
+        ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=16),
+    )
+    def test_matches_scalar(self, Q, Omega, ts):
+        r = derive_rates(Parameters(Q=Q, Omega=Omega))
+        egc, egs = decayed_gcos_gsinc_array(np.array(ts), r)
+        w = r.omega_abs
+        for k, t in enumerate(ts):
+            c, s = decayed_gcos_gsinc(t, r)
+            # Only exp, cos and sin may differ, by an ulp or so; bound the
+            # difference by the size of the terms they enter.
+            scale = math.exp((w - r.mu) * t) if r.omega2 < 0.0 else math.exp(-r.mu * t)
+            reach = t + 1.0 / w if w > 0.0 else t
+            assert abs(egc[k] - c) <= 8 * EPS * scale
+            assert abs(egs[k] - s) <= 8 * EPS * scale * reach
+
+    @pytest.mark.parametrize("Q", [0.3, 0.5, 0.5 + 1e-9, 1.5])
+    def test_time_zero_is_exact(self, Q):
+        # The first sample of every segment is the headpoint itself.
+        r = derive_rates(Parameters(Q=Q, Omega=3.0))
+        egc, egs = decayed_gcos_gsinc_array(np.array([0.0, 1e-3]), r)
+        assert (egc[0], egs[0]) == decayed_gcos_gsinc(0.0, r) == (1.0, 0.0)
+
+    def test_deep_overdamping_has_no_overflow(self):
+        r = derive_rates(Parameters(Q=0.1, Omega=100.0))
+        t = np.linspace(0.0, 10.0, 101)
+        egc, egs = decayed_gcos_gsinc_array(t, r)
+        assert np.all(np.isfinite(egc)) and np.all(np.isfinite(egs))
+
+    def test_apply_flow_array_matches_apply_flow(self):
+        v = Headpoint(0.4, -0.3)
+        for p in (Parameters(Q=1.5, Omega=14.0), Parameters(Q=0.4, Omega=7.0)):
+            r = derive_rates(p)
+            t = np.linspace(0.0, 0.9, 37)
+            x, y = apply_flow_array(t, v, -1, r)
+            for k, tk in enumerate(t):
+                hp = apply_flow(float(tk), v, -1, r)
+                assert abs(x[k] - hp.x) <= 1e-15 and abs(y[k] - hp.y) <= 1e-15
+        with pytest.raises(ValueError):
+            apply_flow_array(np.zeros(2), v, 0, r)
 
 
 class TestFlowMatrix:

@@ -1,8 +1,11 @@
 """Output formatting: 17-significant-digit numbers, schema versioning."""
 
 import argparse
+import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from relaydde import serialize
@@ -19,6 +22,40 @@ def test_float_formatting_full_precision():
     assert serialize.fmt(True) == "true"
     assert serialize.fmt(None) == ""
     assert serialize.fmt(float("nan")) == "nan"
+
+
+def _fmt_reference(x):
+    """The isinstance-first formatter the fast path must reproduce byte for byte."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        return format(x, ".17g")
+    if x is None:
+        return ""
+    return str(x)
+
+
+FMT_TABLE = [
+    True, False, None, 0, -7, 2**70, "branch", "", 0.0, -0.0, 1.0 / 3.0, 2.0,
+    -1e-300, 5e-324, 1.7976931348623157e308, float("nan"), -float("nan"),
+    float("inf"), -float("inf"), np.float64(0.1), np.float64(-0.0),
+    np.float64("nan"), np.float64("-inf"), np.int64(-3), np.bool_(True),
+]
+
+
+@pytest.mark.parametrize("x", FMT_TABLE, ids=repr)
+def test_fmt_bytes_match_reference(x):
+    assert serialize.fmt(x) == _fmt_reference(x)
+
+
+def test_write_csv_bytes_match_reference():
+    rows = [tuple(FMT_TABLE[i:i + 3]) for i in range(0, len(FMT_TABLE), 3)]
+    buf = io.StringIO()
+    serialize.write_csv(["a", "b", "c"], rows, buf)
+    want = "a,b,c\n" + "".join(",".join(_fmt_reference(v) for v in row) + "\n" for row in rows)
+    assert buf.getvalue() == want
 
 
 def test_json_line_schema_and_round_trip():
