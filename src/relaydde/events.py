@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import CornerCollision, NoConvergence, NonoscillatoryEnd
+from .errors import CornerCollision, NonoscillatoryEnd
 from .flow import Headpoint, apply_flow, apply_flow_array, flow_x
 from .params import Parameters, Rates, Regime, derive_rates
+from .rootfind import brentq
 
 # |h_delay - z_delay| below this is a corner collision, not an ordering call.
 TIE_TOLERANCE = 1e-10
@@ -144,8 +144,7 @@ def next_z_delay(st: SystemState, s: int, r: Rates) -> Optional[float]:
             if y == s:
                 return None
             return half
-        f = lambda t: flow_x(t, st.v, s, r)
-        fb = f(half)
+        fb = flow_x(half, st.v, s, r)
         if fb == 0.0:
             return half
         if (x > 0.0) == (fb > 0.0):
@@ -153,10 +152,8 @@ def next_z_delay(st: SystemState, s: int, r: Rates) -> Optional[float]:
             # -x e^{-mu pi/omega} up to roundoff of sin(pi).  Linearize at 0.
             return x / d_coef if x * d_coef > 0.0 else half
         # f(0) = x and f(pi/omega) = -x * e^{-mu pi/omega}: guaranteed bracket.
-        try:
-            root = brentq(f, 0.0, half, xtol=_BRENTQ_XTOL, maxiter=_BRENTQ_MAXITER)
-        except RuntimeError as exc:  # pragma: no cover - budget misconfiguration
-            raise NoConvergence(str(exc)) from exc
+        root = brentq(flow_x, 0.0, half, args=(st.v, s, r),
+                      xtol=_BRENTQ_XTOL, maxiter=_BRENTQ_MAXITER)
         if root > 0.0:
             return root
         # Interval collapsed onto 0: true root is positive but below xtol.

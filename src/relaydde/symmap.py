@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import Degenerate, InvalidState, NoCrossing, NoRoot
 from .events import SystemState
 from .flow import Headpoint, decayed_gcos_gsinc, gsinc
 from .params import Parameters, Rates, Regime, derive_rates
+from .rootfind import brentq
 
 T_STAR_GRID = 512
+T_STAR_POINTS_PER_HALF_WAVE = 16
 T_STAR_XTOL = 1e-14
 SLOW_BRACKET_SPAN = 20.0  # nu = 0 bracket is (1, 1 + SLOW_BRACKET_SPAN / mu)
 
@@ -159,13 +160,17 @@ def t_star_candidates(nu: int, p: Parameters, grid: int = T_STAR_GRID) -> list[f
 
     Scans a uniform grid for sign changes and refines each by Brent's
     method; near-edge probes catch roots approaching the bracket boundary
-    (the corner-collision limits).  One 8x grid refinement resolves
+    (the corner-collision limits).  Underdamped, the grid is sized so fast
+    oscillation cannot alias.  One 8x grid refinement resolves
     tangency-grade cases before giving up.
     """
     if nu < 0:
         raise ValueError("nu must be non-negative")
     r = derive_rates(p)
     lo, hi = t_star_bracket(nu, r)
+    if r.regime is Regime.UNDERDAMPED:  # fastest residual component: sin((nu+1) omega T)
+        half_waves = math.ceil((nu + 1.0) * r.omega_abs * (hi - lo) / math.pi)
+        grid = max(grid, T_STAR_POINTS_PER_HALF_WAVE * half_waves)
     for n in (grid, 8 * grid):
         roots = _scan_roots(nu, r, lo, hi, n)
         if roots:

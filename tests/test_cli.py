@@ -1,14 +1,18 @@
 """Command-line interface: outputs, determinism, exit codes, config files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from relaydde import rootfind, symmap
 from relaydde.cli import build_parser, main
 
 BIN = [sys.executable, "-m", "relaydde.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args):
@@ -63,6 +67,17 @@ class TestFixedpointSpectrum:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NoRoot"
+
+    def test_no_convergence_exit_code(self, monkeypatch, capsys):
+        def starved(*args, **kw):
+            return rootfind.brentq(*args, **{**kw, "maxiter": 1})
+
+        monkeypatch.setattr(symmap, "brentq", starved)
+        rc = main(["fixedpoint", "--Q", "1.5", "--Omega", "14", "--nu", "3"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NoConvergence"
+        assert "after 1 iterations" in err["message"]
 
 
 class TestLocus:
@@ -249,3 +264,21 @@ class TestConfigAndErrors:
         res = run_cli(["--help"])
         assert res.returncode == 0
         assert "torus-scan" in res.stdout
+
+
+def test_runtime_needs_no_scipy():
+    code = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from relaydde.cli import main
+rcs = [main(["fixedpoint", "--Q", "1.5", "--Omega", "14", "--nu", "3"]),
+       main(["simulate", "--Q", "1.5", "--Omega", "14", "--seed-nu", "3", "--events", "50"])]
+loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+print(rcs, loaded, file=sys.stderr)
+sys.exit(rcs != [0, 0] or bool(loaded))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip() == "[0, 0] []"

@@ -14,6 +14,7 @@ from relaydde.flow import decayed_gcos_gsinc, gsinc
 from relaydde.params import Parameters, Regime, derive_rates
 from relaydde.symmap import (
     T_STAR_GRID,
+    T_STAR_POINTS_PER_HALF_WAVE,
     T_STAR_XTOL,
     FixedPoint,
     StateVector,
@@ -275,7 +276,30 @@ class TestScanOracle:
         assert _assert_scan_matches_reference(1, r, T_STAR_GRID) == []
         fine = _assert_scan_matches_reference(1, r, 8 * T_STAR_GRID)
         assert len(fine) > 1000
-        assert t_star_candidates(1, p) == fine
+        # t_star_candidates sizes its first grid from the residual's
+        # frequency instead, so it needs no fallback here.
+        sized = T_STAR_POINTS_PER_HALF_WAVE * math.ceil(r.omega_abs / math.pi)
+        got = t_star_candidates(1, p)
+        assert got == _assert_scan_matches_reference(1, r, sized)
+        assert len(got) >= len(fine)
+
+    def test_sized_grid_does_not_alias(self):
+        # 512 points alias at (5, 3243, 1): they see one root of ~1027.
+        p = Parameters(Q=5.0, Omega=3243.0)
+        r = derive_rates(p)
+        assert len(_assert_scan_matches_reference(1, r, T_STAR_GRID)) == 1
+        assert len(t_star_candidates(1, p)) >= 1000
+
+    @pytest.mark.parametrize("Q", [0.55, 1.0, 1.5, 2.0, 2.55])
+    def test_paper_range_keeps_the_fixed_grid(self, Q):
+        for Omega in (1.0, 8.0, 14.0, 20.0, 30.0, 41.0):
+            p = Parameters(Q=Q, Omega=Omega)
+            r = derive_rates(p)
+            for nu in range(9):
+                lo, hi = t_star_bracket(nu, r)
+                coarse = symmap._scan_roots(nu, r, lo, hi, T_STAR_GRID)
+                if coarse:
+                    assert t_star_candidates(nu, p) == coarse
 
     @pytest.mark.parametrize("Q,Omega", [(0.4, 50.0), (0.35, 60.0), (0.45, 200.0)])
     def test_slow_gap_fallback(self, Q, Omega):
