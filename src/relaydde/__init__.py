@@ -53,7 +53,6 @@ from .symmap import (
     jacobian_coeffs,
     jacobian_matrix,
     map_M,
-    solve_T_star,
     spectrum_of,
     state_from_fixed_point,
     t_star_candidates,

@@ -208,44 +208,24 @@ def pitchfork_locus(
     return points
 
 
-@dataclass(frozen=True)
-class CornerLines:
-    """Parameter-plane curves Omega(Q) = 2 Q K pi / sqrt(4Q^2 - 1), Q > 1/2.
-
-    K = nu + 1 is the symbol-relabeling transition (the mode persists);
-    K = 2 nu + 1 terminates the mode.
-    """
-
-    nu: int
-
-    @property
-    def K1(self) -> int:
-        return self.nu + 1
-
-    @property
-    def K2(self) -> int:
-        return 2 * self.nu + 1
-
-    @staticmethod
-    def omega_at(Q, K: int):
-        Q = np.asarray(Q, dtype=float)
-        if np.any(Q <= 0.5):
-            raise ValueError("corner lines exist only in the underdamped regime (Q > 1/2)")
-        return 2.0 * Q * K * math.pi / np.sqrt(4.0 * Q * Q - 1.0)
-
-    def type1(self, Q):
-        return self.omega_at(Q, self.K1)
-
-    def type2(self, Q):
-        return self.omega_at(Q, self.K2)
-
-
-def corner_lines(nu: int) -> CornerLines:
-    return CornerLines(nu=nu)
-
-
 def corner_omega(Q: float, K: int) -> float:
-    return float(CornerLines.omega_at(Q, K))
+    """Corner line Omega(Q) = 2 Q K pi / sqrt(4Q^2 - 1), defined for Q > 1/2.
+
+    K = nu + 1 is the symbol-relabeling transition of frequency nu (the mode
+    persists); K = 2 nu + 1 terminates the mode.
+    """
+    if Q <= 0.5:
+        raise ValueError("corner lines exist only in the underdamped regime (Q > 1/2)")
+    return 2.0 * Q * K * math.pi / math.sqrt(4.0 * Q * Q - 1.0)
+
+
+def mode_corners(nu0: int, Q: float) -> tuple[float, float]:
+    """(relabeling, terminating) corner Omegas of the mode with base frequency nu0.
+
+    The mode relabels from nu0 to nu0 + 1 on the type-1 line of nu0 and ends
+    on the type-2 line of nu0 + 1.
+    """
+    return corner_omega(Q, nu0 + 1), corner_omega(Q, 2 * (nu0 + 1) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -272,8 +252,7 @@ def mode_segments(
     p_probe = Parameters(Q=Q, Omega=max(lo, 1e-6), sigma=sigma)
     if derive_rates(p_probe).regime is not Regime.UNDERDAMPED:
         return [(nu0, (lo, hi))]
-    relabel = corner_omega(Q, nu0 + 1)
-    end = corner_omega(Q, 2 * (nu0 + 1) + 1)
+    relabel, end = mode_corners(nu0, Q)
     segments = []
     if lo < min(relabel, hi):
         segments.append((nu0, (lo, min(relabel, hi))))
@@ -432,10 +411,10 @@ class BranchSample:
     nu: Optional[int]
     Q: float
     Omega: float
-    Tstar: Optional[float]
-    invP: Optional[float]
-    xH: Optional[float]
-    unstable_count: Optional[int]
+    Tstar: Optional[float] = None
+    invP: Optional[float] = None
+    xH: Optional[float] = None
+    unstable_count: Optional[int] = None
     marker: str = ""
 
 
@@ -471,7 +450,6 @@ def _branch_sample(nu, p, T_hint=None) -> Optional[tuple[BranchSample, FixedPoin
         invP=1.0 / (2.0 * fp.Tstar),
         xH=x_H(fp),
         unstable_count=count,
-        marker="",
     )
     return sample, fp
 
@@ -500,14 +478,12 @@ def mode_trace(
     underdamped = derive_rates(
         Parameters(Q=Q, Omega=max(sorted_range[0], 1e-6), sigma=sigma)
     ).regime is Regime.UNDERDAMPED
-    if underdamped and sorted_range[1] >= corner_omega(Q, 2 * (nu0 + 1) + 1):
+    corners = mode_corners(nu0, Q) if underdamped else ()
+    if corners and sorted_range[1] >= corners[1]:
         branch.terminated = "corner2"
 
     total = sorted_range[1] - sorted_range[0]
     T_hint = None
-    corners = set()
-    if underdamped:
-        corners = {corner_omega(Q, nu0 + 1), corner_omega(Q, 2 * (nu0 + 1) + 1)}
     for seg_nu, (lo, hi) in segs:
         # Exactly at a corner the switching-interval root sits on its bracket
         # edge and the scan can miss it; sample a hair inside instead.
@@ -542,21 +518,13 @@ def mode_trace(
             T_hint = fp.Tstar
         if seg_nu == nu0 and len(segs) > 1:
             branch.markers.append(
-                BranchSample(
-                    kind="marker", nu=seg_nu, Q=Q,
-                    Omega=corner_omega(Q, nu0 + 1),
-                    Tstar=None, invP=None, xH=0.0, unstable_count=None,
-                    marker="corner1",
-                )
+                BranchSample(kind="marker", nu=seg_nu, Q=Q, Omega=corners[0],
+                             xH=0.0, marker="corner1")
             )
     if branch.terminated == "corner2":
         branch.markers.append(
-            BranchSample(
-                kind="marker", nu=nu0 + 1, Q=Q,
-                Omega=corner_omega(Q, 2 * (nu0 + 1) + 1),
-                Tstar=None, invP=None, xH=0.0, unstable_count=None,
-                marker="corner2",
-            )
+            BranchSample(kind="marker", nu=nu0 + 1, Q=Q, Omega=corners[1],
+                         xH=0.0, marker="corner2")
         )
     return branch
 
@@ -579,11 +547,8 @@ def period_diagram(
     for om in np.linspace(omega_range[0], omega_range[1], max(2, samples // 4)):
         for kind, w in (("passband_lo", w_lo), ("passband_hi", w_hi)):
             rows.append(
-                BranchSample(
-                    kind=kind, nu=None, Q=Q, Omega=float(om),
-                    Tstar=None, invP=w * om / (2.0 * math.pi), xH=None,
-                    unstable_count=None, marker="",
-                )
+                BranchSample(kind=kind, nu=None, Q=Q, Omega=float(om),
+                             invP=w * om / (2.0 * math.pi))
             )
     for nu0 in nus:
         base = mode_base(nu0, sigma)
@@ -596,10 +561,6 @@ def period_diagram(
         pts = mode_ns_points(base, Q, omega_range, sigma=sigma)
         for pt in pts + mode_pf_points(base, Q, omega_range, sigma=sigma):
             rows.append(
-                BranchSample(
-                    kind="marker", nu=pt.nu, Q=Q, Omega=pt.Omega,
-                    Tstar=None, invP=None, xH=None, unstable_count=None,
-                    marker=pt.kind,
-                )
+                BranchSample(kind="marker", nu=pt.nu, Q=Q, Omega=pt.Omega, marker=pt.kind)
             )
     return rows

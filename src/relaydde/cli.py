@@ -2,8 +2,9 @@
 
 One subcommand per dataset family: orbit simulation, fixed points and
 spectra, bifurcation loci, region scans, period diagrams, mode traces, and
-torus scans.  All outputs are CSV or JSON lines with fixed 17-significant-
-digit numbers, so identical invocations produce byte-identical files.
+torus scans.  All outputs are CSV (floats as ``%.17g``) or JSON lines
+(floats as Python's shortest round-trip ``repr``); both parse back
+bit-exactly, and identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (JSON error record on stderr),
 2 usage error.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 numerical failure (JSON error record on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -184,20 +186,19 @@ def _apply_config(argv: list[str]) -> list[str]:
     return out
 
 
-def _emit(args, header, rows, json_records=None):
-    """Write rows as CSV, or as JSON lines (json_records, else one header-keyed dict per row)."""
-    if args.format == "json":
-        if json_records is None:
-            json_records = [dict(zip(header, r)) for r in rows]
-        lines = [serialize.json_line(r) for r in json_records]
-        text = "\n".join(lines) + ("\n" if lines else "")
-    else:
-        text = serialize.csv_text(header, rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(out, fmt, header, rows, records=None):
+    """Write the data payload to the file out, or to stdout when out is None.
+
+    fmt "csv" writes header and rows; "json" writes one line per record
+    (records, else one header-keyed dict per row).
+    """
+    if fmt == "json" and records is None:
+        records = (dict(zip(header, r)) for r in rows)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            fh.writelines(serialize.json_line(r) + "\n" for r in records)
+        else:
+            serialize.write_csv(header, rows, fh)
 
 
 def _cmd_simulate(args) -> int:
@@ -211,12 +212,12 @@ def _cmd_simulate(args) -> int:
     cls = classify(rec, min_events=min(200, max(8, args.events // 2)))
     if args.out:
         if args.format == "json" or args.out.endswith(".json"):
-            serialize.write_json_lines([serialize.orbit_record_json(rec, cls)], args.out)
+            _emit(args.out, "json", None, None, [serialize.orbit_record_json(rec, cls)])
         else:
-            rows = rec.samples if rec.samples else [
+            rows = rec.samples or [
                 (e.time, hp.x, hp.y) for e, hp in zip(rec.events, rec.headpoints)
             ]
-            serialize.write_csv(serialize.ORBIT_CSV_HEADER, rows, args.out)
+            _emit(args.out, "csv", serialize.ORBIT_CSV_HEADER, rows)
     summary = {
         "command": "simulate",
         "Q": p.Q, "Omega": p.Omega, "sigma": p.sigma,
@@ -237,7 +238,7 @@ def _cmd_fixedpoint(args) -> int:
     fp = fixed_point(args.nu, p)
     xh = x_H(fp)
     sp = spectrum_of(fp)
-    _emit(args, serialize.FIXEDPOINT_CSV_HEADER,
+    _emit(args.out, args.format, serialize.FIXEDPOINT_CSV_HEADER,
           [serialize.fixed_point_row(fp, xh, sp)],
           [serialize.fixed_point_json(fp, xh, sp)])
     return 0
@@ -255,13 +256,11 @@ def _cmd_locus(args) -> int:
         # Mode-aware: the relabeling corner belongs to the base branch and
         # the terminating corner to the relabeled one.
         base = atlas.mode_base(args.nu, args.sigma)
-        pts = []
-        for kind, K, nu in (("corner1", base + 1, base),
-                            ("corner2", 2 * (base + 1) + 1, base + 1)):
-            om = atlas.corner_omega(args.Q, K)
-            if rng[0] <= om <= rng[1]:
-                pts.append(atlas.BifurcationPoint(kind=kind, Q=args.Q, Omega=om, nu=nu))
-    _emit(args, serialize.LOCUS_CSV_HEADER,
+        relabel, end = atlas.mode_corners(base, args.Q)
+        pts = [atlas.BifurcationPoint(kind=kind, Q=args.Q, Omega=om, nu=nu)
+               for kind, om, nu in (("corner1", relabel, base), ("corner2", end, base + 1))
+               if rng[0] <= om <= rng[1]]
+    _emit(args.out, args.format, serialize.LOCUS_CSV_HEADER,
           [serialize.bifurcation_point_row(pt) for pt in pts],
           [serialize.bifurcation_point_json(pt) for pt in pts])
     return 0
@@ -276,8 +275,7 @@ def _cmd_region(args) -> int:
         sigma=args.sigma,
         threads=args.threads,
     )
-    rows = list(serialize.region_rows(grid))
-    _emit(args, serialize.REGION_CSV_HEADER, rows)
+    _emit(args.out, args.format, serialize.REGION_CSV_HEADER, serialize.region_rows(grid))
     return 0
 
 
@@ -285,15 +283,15 @@ def _cmd_period_diagram(args) -> int:
     rows = atlas.period_diagram(args.nus, args.Q,
                                 (args.omega_min, args.omega_max),
                                 sigma=args.sigma, samples=args.samples)
-    _emit(args, serialize.BRANCH_CSV_HEADER, list(serialize.branch_rows(rows)))
+    _emit(args.out, args.format, serialize.BRANCH_CSV_HEADER, serialize.branch_rows(rows))
     return 0
 
 
 def _cmd_mode_trace(args) -> int:
     branch = atlas.mode_trace(args.nu0, args.Q, (args.omega_min, args.omega_max),
                               sigma=args.sigma, samples=args.samples)
-    rows = list(serialize.branch_rows(branch.samples + branch.markers))
-    _emit(args, serialize.BRANCH_CSV_HEADER, rows)
+    _emit(args.out, args.format, serialize.BRANCH_CSV_HEADER,
+          serialize.branch_rows(branch.samples + branch.markers))
     return 0
 
 
@@ -308,13 +306,11 @@ def _cmd_torus_scan(args) -> int:
         seed_eps=args.seed_eps,
         settle_events=args.settle_events or 2 * args.events,
     )
+    summaries = serialize.torus_summary_json(result)
     if args.out:
-        if args.format == "json":
-            serialize.write_json_lines(serialize.torus_summary_json(result), args.out)
-        else:
-            serialize.write_csv(serialize.TORUS_CSV_HEADER,
-                                serialize.torus_rows(result), args.out)
-    for line in serialize.torus_summary_json(result):
+        _emit(args.out, args.format, serialize.TORUS_CSV_HEADER,
+              serialize.torus_rows(result), summaries)
+    for line in summaries:
         print(serialize.json_line(line))
     return 0
 

@@ -185,7 +185,6 @@ class OrbitRecord:
     events: list[Event] = field(default_factory=list)
     headpoints: list[Headpoint] = field(default_factory=list)
     samples: list[tuple[float, float, float]] = field(default_factory=list)
-    initial: Optional[SystemState] = None
     final_state: Optional[SystemState] = None
     terminated: str = "budget"
 
@@ -268,7 +267,7 @@ def simulate(
     if sample_dt is not None and not (sample_dt > 0.0 and math.isfinite(sample_dt)):
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
     r = derive_rates(p)
-    rec = OrbitRecord(params=p, initial=st0)
+    rec = OrbitRecord(params=p)
     st = st0
     for _ in range(max_events):
         if t_max is not None and st.t >= t_max:

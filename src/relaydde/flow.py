@@ -33,9 +33,6 @@ class Headpoint:
     x: float
     y: float
 
-    def __neg__(self) -> "Headpoint":
-        return Headpoint(-self.x, -self.y)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
 

@@ -1,16 +1,16 @@
 """Deterministic CSV and JSON writers for the toolkit's record types.
 
-Every float is printed with 17 significant digits (full round-trip
-precision), so identical inputs produce byte-identical files on one
-platform.  JSON documents are emitted as JSON lines, one object per
-record, each carrying a ``schema_version`` field.
+CSV floats are printed as ``%.17g`` and JSON floats as Python's shortest
+round-trip ``repr``; both parse back to the same bits, so identical inputs
+produce byte-identical files on one platform.  JSON documents are emitted
+as JSON lines, one object per record, each carrying a ``schema_version``
+field.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, TextIO
 
 from .atlas import BifurcationPoint, BranchSample, RegionGrid
 from .events import OrbitClass, OrbitRecord
@@ -33,57 +33,14 @@ def fmt(x: Any) -> str:
     return str(x)
 
 
-def _json_default(x):
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
-class _F(float):
-    """Float wrapper whose repr is the fixed 17-significant-digit form."""
-
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
-def _wrap_floats(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return _F(obj)
-    if isinstance(obj, dict):
-        return {k: _wrap_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_wrap_floats(v) for v in obj]
-    return obj
-
-
 def json_line(record: dict) -> str:
     """One deterministic JSON line with schema_version injected."""
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(record)
-    return json.dumps(_wrap_floats(payload), default=_json_default, sort_keys=False)
+    return json.dumps({"schema_version": SCHEMA_VERSION, **record})
 
 
-def write_json_lines(records: Iterable[dict], path: str) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json_line(rec) + "\n")
-
-
-def write_csv(header: list[str], rows: Iterable[Iterable[Any]], path_or_buf) -> None:
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
-    finally:
-        if own:
-            fh.close()
-
-
-def csv_text(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
-    buf = io.StringIO()
-    write_csv(header, rows, buf)
-    return buf.getvalue()
+def write_csv(header: list[str], rows: Iterable[Iterable[Any]], fh: TextIO) -> None:
+    fh.write(",".join(header) + "\n")
+    fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 # --------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def t_star_bracket(nu: int, r: Rates) -> tuple[float, float]:
     return 1.0 / (nu + 1.0), 1.0 / nu
 
 
-def t_star_candidates(nu: int, p: Parameters, grid: int = T_STAR_GRID) -> list[float]:
+def t_star_candidates(nu: int, p: Parameters) -> list[float]:
     """All roots of the switching-interval equation inside the bracket, ascending.
 
     Scans a uniform grid for sign changes and refines each by Brent's
@@ -168,6 +168,7 @@ def t_star_candidates(nu: int, p: Parameters, grid: int = T_STAR_GRID) -> list[f
         raise ValueError("nu must be non-negative")
     r = derive_rates(p)
     lo, hi = t_star_bracket(nu, r)
+    grid = T_STAR_GRID
     if r.regime is Regime.UNDERDAMPED:  # fastest residual component: sin((nu+1) omega T)
         half_waves = math.ceil((nu + 1.0) * r.omega_abs * (hi - lo) / math.pi)
         grid = max(grid, T_STAR_POINTS_PER_HALF_WAVE * half_waves)
@@ -220,17 +221,6 @@ def _scan_roots(nu, r, lo, hi, n):
         for i in np.flatnonzero(change)
     ]
     return sorted(set(roots))
-
-
-def solve_T_star(nu: int, p: Parameters, grid: int = T_STAR_GRID) -> float:
-    """Switching interval of the nu-frequency fixed point.
-
-    When several solution families place roots in the bracket, the smallest
-    root realizing a consistent orbit for p.sigma is returned; if none is
-    consistent, the smallest root, so that validity flags can report why.
-    """
-    fp = fixed_point(nu, p, grid=grid)
-    return fp.Tstar
 
 
 @dataclass(frozen=True)
@@ -305,16 +295,19 @@ def _sign(x: float) -> int:
     return 1 if x > 0.0 else -1
 
 
-def fixed_point_candidates(
-    nu: int, p: Parameters, grid: int = T_STAR_GRID
-) -> list[FixedPoint]:
+def fixed_point_candidates(nu: int, p: Parameters) -> list[FixedPoint]:
     r = derive_rates(p)
-    return [_build_fixed_point(nu, T, p, r) for T in t_star_candidates(nu, p, grid)]
+    return [_build_fixed_point(nu, T, p, r) for T in t_star_candidates(nu, p)]
 
 
-def fixed_point(nu: int, p: Parameters, grid: int = T_STAR_GRID) -> FixedPoint:
-    """Fixed point of the nu map at p, preferring a fully valid candidate."""
-    cands = fixed_point_candidates(nu, p, grid)
+def fixed_point(nu: int, p: Parameters) -> FixedPoint:
+    """Fixed point of the nu-frequency map at p.
+
+    When several solution families place roots in the bracket, the smallest
+    root realizing a consistent orbit for p.sigma is returned; if none is
+    consistent, the smallest root, so that validity flags can report why.
+    """
+    cands = fixed_point_candidates(nu, p)
     if not cands:
         raise NoRoot(f"no switching-interval root for nu={nu} at Q={p.Q}, Omega={p.Omega}")
     for fp in cands:
@@ -376,10 +369,6 @@ def jacobian_matrix(jc: JacobianCoeffs, nu: int) -> np.ndarray:
 class Spectrum:
     roots: np.ndarray  # complex, sorted by descending modulus
     unstable_count: int
-
-    @property
-    def max_modulus(self) -> float:
-        return float(np.abs(self.roots[0])) if len(self.roots) else 0.0
 
 
 def char_polynomial(jc: JacobianCoeffs, nu: int) -> np.ndarray:

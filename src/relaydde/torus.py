@@ -162,7 +162,6 @@ class TorusScanEntry:
 @dataclass
 class TorusScanResult:
     entries: list[TorusScanEntry] = field(default_factory=list)
-    final_state: Optional[SystemState] = None
 
 
 def run_section(
@@ -218,8 +217,6 @@ def torus_scan(
             TorusScanEntry(Q=Q, Omega=float(om), shape=shape, section=pts, tag=tag, seed=seed_desc)
         )
         st = rebase_state(final) if (final is not None and warm_start) else None
-        if st is not None:
-            result.final_state = st
     return result
 
 
@@ -235,8 +232,8 @@ def follow_path(
 
     The first waypoint is seeded from its perturbed fixed point and run with
     the long ``start_events`` budget; each later waypoint continues from the
-    previous final state.  Returns the final state, or None if the orbit
-    stopped producing section points.
+    previous final state.  Returns the final state, or None if a simulation
+    along the way raised a ``RelayDDEError`` (such as a corner collision).
     """
     if not waypoints:
         return None
@@ -253,8 +250,6 @@ def follow_path(
         try:
             rec = simulate(st, p, max_events=step_events)
         except RelayDDEError:
-            return None
-        if rec.final_state is None:
             return None
         st = rebase_state(rec.final_state)
     return st

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from relaydde.atlas import (
-    corner_lines,
     corner_omega,
     mode_base,
+    mode_corners,
     mode_ns_points,
     mode_pf_points,
     mode_segments,
@@ -127,15 +127,17 @@ class TestCornerLines:
         assert 3 * z[0] - 3 * z[1] + z[2] == pytest.approx(1.0 / (2 * nu + 1), abs=1e-6)
 
     def test_large_q_asymptote(self):
-        lines = corner_lines(2)
-        assert lines.type1(1e9) == pytest.approx(3 * math.pi, rel=1e-9)
-        assert lines.type2(1e9) == pytest.approx(5 * math.pi, rel=1e-9)
+        assert corner_omega(1e9, 2 + 1) == pytest.approx(3 * math.pi, rel=1e-9)
+        assert corner_omega(1e9, 2 * 2 + 1) == pytest.approx(5 * math.pi, rel=1e-9)
         # the (2,3) mode terminates on its relabeled branch's type-2 line
-        assert corner_lines(3).type2(1e9) == pytest.approx(7 * math.pi, rel=1e-9)
+        assert mode_corners(2, 1e9) == pytest.approx((3 * math.pi, 7 * math.pi), rel=1e-9)
 
     def test_underdamped_only(self):
-        with pytest.raises(ValueError):
-            corner_lines(2).type1(0.4)
+        for Q in (0.4, 0.5):
+            with pytest.raises(ValueError):
+                corner_omega(Q, 2 + 1)
+            with pytest.raises(ValueError):
+                mode_corners(2, Q)
 
 
 class TestRegionScan:

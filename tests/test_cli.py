@@ -43,6 +43,16 @@ class TestSimulate:
         assert rec["schema_version"] == 1
         assert len(rec["events"]) == 400
 
+    def test_json_suffix_selects_json(self, tmp_path, capsys):
+        argv = ["simulate", "--Q", "1.5", "--Omega", "14", "--events", "200"]
+        by_suffix, by_flag = tmp_path / "orbit.json", tmp_path / "orbit.jsonl"
+        assert main(argv + ["--out", str(by_suffix)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(by_flag)]) == 0
+        summaries = capsys.readouterr().out.splitlines()
+        assert summaries[0] == summaries[1]
+        assert by_suffix.read_bytes() == by_flag.read_bytes()
+        assert json.loads(by_suffix.read_text())["n_events"] == 200
+
 
 class TestFixedpointSpectrum:
     def test_json_schema(self, capsys):
@@ -102,6 +112,16 @@ class TestLocus:
         assert abs(kinds["corner1"] - 9.9965) < 1e-3
         assert abs(kinds["corner2"] - 23.3251) < 1e-3
 
+    def test_overdamped_corner_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "corner.csv"
+        rc = main(["locus", "--kind", "corner", "--nu", "2", "--Q", "0.45",
+                   "--omega-min", "5", "--omega-max", "30", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            '{"schema_version": 1, "error": "ValueError", "message": '
+            '"corner lines exist only in the underdamped regime (Q > 1/2)"}\n')
+        assert not out.exists()
+
 
 class TestRegionAndDiagram:
     def test_region_rows(self, tmp_path):
@@ -157,6 +177,34 @@ class TestTorusScanCommand:
 REGION = ["region", "--nus", "3", "--q-min", "1.4", "--q-max", "1.6",
           "--omega-min", "9", "--omega-max", "11", "--resolution", "2x2"]
 TORUS = ["torus-scan", "--Q", "1.5", "--omega-min", "14.5", "--omega-max", "14.6"]
+
+
+DATASETS = [
+    ["fixedpoint", "--Q", "1.5", "--Omega", "14", "--nu", "3"],
+    ["spectrum", "--Q", "1.5", "--Omega", "14", "--nu", "3"],
+    ["locus", "--kind", "ns", "--nu", "3", "--Q", "1.5", "--omega-min", "2",
+     "--omega-max", "20", "--samples", "40"],
+    ["locus", "--kind", "pf", "--nu", "3", "--Q", "1.5", "--omega-min", "10",
+     "--omega-max", "23", "--samples", "40"],
+    ["locus", "--kind", "corner", "--nu", "2", "--Q", "1.5", "--omega-min", "5",
+     "--omega-max", "30"],
+    REGION + ["--threads", "1"],
+    ["period-diagram", "--nus", "2", "--Q", "0.45", "--omega-min", "20",
+     "--omega-max", "24", "--samples", "12"],
+    ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "9", "--omega-max", "11",
+     "--samples", "20"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", DATASETS, ids=lambda argv: " ".join(argv[:3]))
+def test_out_file_matches_stdout(argv, fmt, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(argv + ["--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout and out.read_bytes() == stdout.encode()
 
 
 class TestConfigAndErrors:

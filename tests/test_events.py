@@ -1,5 +1,6 @@
 """Event-driven simulation: delays, bookkeeping, classification, invariants."""
 
+import io
 import json
 import math
 
@@ -267,8 +268,9 @@ class TestSerialization:
 
     def test_csv_samples(self):
         rec = simulate(initial_state(0.5), P_SLOW, max_events=20, sample_dt=0.01)
-        text = serialize.csv_text(serialize.ORBIT_CSV_HEADER, rec.samples)
-        lines = text.strip().split("\n")
+        buf = io.StringIO()
+        serialize.write_csv(serialize.ORBIT_CSV_HEADER, rec.samples, buf)
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "t,x,y"
         assert len(lines) == len(rec.samples) + 1
         t, x, y = map(float, lines[1].split(","))

@@ -1,4 +1,4 @@
-"""Output formatting: 17-significant-digit numbers, schema versioning."""
+"""Output formatting: CSV and JSON float bytes, schema versioning."""
 
 import argparse
 import io
@@ -67,13 +67,37 @@ def test_json_line_schema_and_round_trip():
     assert "0.14285714285714285" in line
 
 
-def test_csv_text_deterministic():
+def test_write_csv_deterministic():
     rows = [(0.1, -1, "a"), (2.0 / 3.0, 5, "b")]
-    a = serialize.csv_text(["x", "n", "tag"], rows)
-    b = serialize.csv_text(["x", "n", "tag"], rows)
-    assert a == b
-    assert a.splitlines()[0] == "x,n,tag"
-    assert a.splitlines()[1].startswith("0.10000000000000001,-1,")
+    a, b = io.StringIO(), io.StringIO()
+    serialize.write_csv(["x", "n", "tag"], rows, a)
+    serialize.write_csv(["x", "n", "tag"], rows, b)
+    assert a.getvalue() == b.getvalue()
+    assert a.getvalue().splitlines()[0] == "x,n,tag"
+    assert a.getvalue().splitlines()[1].startswith("0.10000000000000001,-1,")
+
+
+# (value, its JSON text): floats use the shortest round-trip repr.
+JSON_TABLE = [
+    (0.1, "0.1"), (1.0 / 3.0, "0.3333333333333333"), (-0.0, "-0.0"), (2.0, "2.0"),
+    (float("nan"), "NaN"), (float("inf"), "Infinity"), (-float("inf"), "-Infinity"),
+    (5e-324, "5e-324"), (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (np.float64(0.1), "0.1"), (np.float64(-0.0), "-0.0"), (np.float64(1.0 / 3.0), "0.3333333333333333"),
+    (True, "true"), (False, "false"), (None, "null"), (0, "0"), (-7, "-7"), (2**70, str(2**70)),
+    ("branch", '"branch"'), ("", '""'), ((1, (0.1, None), ()), "[1, [0.1, null], []]"),
+    ([1.0 / 7.0, [np.float64(2.5)]], "[0.14285714285714285, [2.5]]"),
+]
+
+
+@pytest.mark.parametrize("x, text", JSON_TABLE, ids=[repr(x) for x, _ in JSON_TABLE])
+def test_json_line_bytes(x, text):
+    rec = {"v": x, "nested": {"w": x}}
+    line = serialize.json_line(rec)
+    assert line == json.dumps({"schema_version": 1, **rec})
+    assert line == f'{{"schema_version": 1, "v": {text}, "nested": {{"w": {text}}}}}'
+    if isinstance(x, float) and math.isfinite(x):
+        back = json.loads(line)["v"]
+        assert math.copysign(1.0, back) == math.copysign(1.0, x) and back == x
 
 
 def test_threads_env_fallback(monkeypatch):
