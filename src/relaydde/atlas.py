@@ -187,14 +187,12 @@ def pitchfork_locus(
     sigma = -1
 
     def pf_value(omega):
-        p = Parameters(Q=Q, Omega=omega, sigma=sigma)
         try:
-            fp = fixed_point(nu, p)
+            fp = fixed_point(nu, Parameters(Q=Q, Omega=omega, sigma=sigma))
             jc = jacobian_coeffs(fp)
         except (NoRoot, Degenerate):
             return None
-        r = derive_rates(p)
-        return (1.0 + jc.d) + math.exp(-2.0 * r.mu * fp.Tstar), fp
+        return (1.0 + jc.d) + jc.exp_2muT, fp
 
     omegas = np.linspace(omega_range[0], omega_range[1], samples)
     points = []
@@ -245,12 +243,11 @@ def mode_base(nu: int, sigma: int) -> int:
 
 
 def mode_segments(
-    nu0: int, Q: float, omega_range: tuple[float, float], sigma: int
+    nu0: int, Q: float, omega_range: tuple[float, float]
 ) -> list[tuple[int, tuple[float, float]]]:
     """Split an Omega range into (map-nu, subrange) pieces for one mode."""
     lo, hi = omega_range
-    p_probe = Parameters(Q=Q, Omega=max(lo, 1e-6), sigma=sigma)
-    if derive_rates(p_probe).regime is not Regime.UNDERDAMPED:
+    if Q <= 0.5:
         return [(nu0, (lo, hi))]
     relabel, end = mode_corners(nu0, Q)
     segments = []
@@ -268,7 +265,7 @@ def _mode_points(locus, nu, Q, omega_range, sigma, samples):
     and at least 32.
     """
     points = []
-    for seg_nu, rng in mode_segments(mode_base(nu, sigma), Q, omega_range, sigma):
+    for seg_nu, rng in mode_segments(mode_base(nu, sigma), Q, omega_range):
         if rng[1] - rng[0] <= 0:
             continue
         n = max(32, int(samples * (rng[1] - rng[0]) / (omega_range[1] - omega_range[0])))
@@ -470,15 +467,12 @@ def mode_trace(
     descending = omega_range[0] > omega_range[1]
     sorted_range = (min(omega_range), max(omega_range))
     branch = ModeBranch(nu0=nu0, Q=Q, sigma=sigma)
-    segs = mode_segments(nu0, Q, sorted_range, sigma)
+    segs = mode_segments(nu0, Q, sorted_range)
     if not segs:
         return branch
     if descending:
         segs = segs[::-1]
-    underdamped = derive_rates(
-        Parameters(Q=Q, Omega=max(sorted_range[0], 1e-6), sigma=sigma)
-    ).regime is Regime.UNDERDAMPED
-    corners = mode_corners(nu0, Q) if underdamped else ()
+    corners = mode_corners(nu0, Q) if Q > 0.5 else ()
     if corners and sorted_range[1] >= corners[1]:
         branch.terminated = "corner2"
 
@@ -539,8 +533,9 @@ def period_diagram(
     """Inverse-period branch table for the listed modes, with bifurcation markers.
 
     Emits one "branch" row per mode sample, "marker" rows at NS/PF/corner
-    points, and per-Omega passband-edge rows (fundamental angular frequency
-    2 pi / P against the filter's 3 dB band).
+    points (the NS/PF scans use ``samples`` too), and per-Omega passband-edge
+    rows (fundamental angular frequency 2 pi / P against the filter's 3 dB
+    band).
     """
     rows: list[BranchSample] = []
     w_lo, w_hi = passband(Q)
@@ -558,8 +553,8 @@ def period_diagram(
             rows.extend(branch.markers)
         except LostBranch:
             pass  # markers below do not depend on the trace
-        pts = mode_ns_points(base, Q, omega_range, sigma=sigma)
-        for pt in pts + mode_pf_points(base, Q, omega_range, sigma=sigma):
+        pts = mode_ns_points(base, Q, omega_range, sigma=sigma, samples=samples)
+        for pt in pts + mode_pf_points(base, Q, omega_range, sigma=sigma, samples=samples):
             rows.append(
                 BranchSample(kind="marker", nu=pt.nu, Q=Q, Omega=pt.Omega, marker=pt.kind)
             )

@@ -57,16 +57,17 @@ def _default_threads() -> int:
     return _positive_int(env) if env else os.cpu_count() or 1
 
 
-def _add_params(sp, sigma_default=-1, omega_required=True):
+def _add_params(sp, omega_required=True):
     sp.add_argument("--Q", type=_positive_float, required=True, help="filter quality factor")
     sp.add_argument("--Omega", type=_positive_float, required=omega_required,
                     help="center frequency times delay")
-    sp.add_argument("--sigma", type=int, default=sigma_default, choices=(-1, 1))
+    sp.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
 
 
 def _add_output(sp):
     sp.add_argument("--out", help="output file (default: stdout for the data payload)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--format", choices=("csv", "json"), default=None,
+                    help="default: csv (simulate: json when --out ends in .json)")
     sp.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS,
                     help="worker processes for scans (default: RELAY_DDE_THREADS or all cores)")
 
@@ -189,8 +190,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 def _emit(out, fmt, header, rows, records=None):
     """Write the data payload to the file out, or to stdout when out is None.
 
-    fmt "csv" writes header and rows; "json" writes one line per record
-    (records, else one header-keyed dict per row).
+    fmt "json" writes one line per record (records, else one header-keyed
+    dict per row); "csv" or None writes header and rows.
     """
     if fmt == "json" and records is None:
         records = (dict(zip(header, r)) for r in rows)
@@ -211,7 +212,7 @@ def _cmd_simulate(args) -> int:
                    sample_dt=args.sample_dt)
     cls = classify(rec, min_events=min(200, max(8, args.events // 2)))
     if args.out:
-        if args.format == "json" or args.out.endswith(".json"):
+        if args.format == "json" or (args.format is None and args.out.endswith(".json")):
             _emit(args.out, "json", None, None, [serialize.orbit_record_json(rec, cls)])
         else:
             rows = rec.samples or [

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CornerCollision, NonoscillatoryEnd
-from .flow import Headpoint, apply_flow, apply_flow_array, flow_x
+from .flow import Headpoint, apply_flow, apply_flow_array, first_crossing, flow_x
 from .params import Parameters, Rates, Regime, derive_rates
 from .rootfind import brentq
 
@@ -121,15 +121,11 @@ def next_h_delay(st: SystemState) -> Optional[float]:
 def next_z_delay(st: SystemState, s: int, r: Rates) -> Optional[float]:
     """Smallest t > 0 at which the frozen-feedback flow from st.v crosses x = 0.
 
-    Underdamped: the crossing function e^{mu t} x(t) is a pure sinusoid, so
-    for x != 0 there is exactly one root in (0, pi/omega) and Brent refinement
-    on that bracket cannot miss it; for x = 0 (post-crossing state) the next
-    root sits exactly one half-wave away.
-
-    Overdamped / critical: x(t) is a two-real-exponential combination that
-    crosses zero at most once, and its unique positive root (when it exists)
-    has a closed form; states at the node or on its non-crossing side return
-    None.
+    ``flow.first_crossing`` gives it in closed form, as it does for the map.
+    Underdamped with x != 0 is the one place that still refines with Brent:
+    e^{mu t} x(t) is a pure sinusoid with exactly one root in (0, pi/omega),
+    so the bracket cannot miss it (``tests/test_flow.py`` holds the two
+    routes to each other).  States at the node return None.
     """
     x, y = st.v.x, st.v.y
     if abs(x) <= NODE_TOLERANCE and abs(y - s) <= NODE_TOLERANCE:
@@ -137,44 +133,24 @@ def next_z_delay(st: SystemState, s: int, r: Rates) -> Optional[float]:
 
     # e^{mu t} x(t) = x*gcos(t) - d_coef*gsinc(t); same zeros as x(t).
     d_coef = r.mu * x + 2.0 * r.mu * (y - s)
-
-    if r.regime is Regime.UNDERDAMPED:
-        half = r.half_wave
-        if x == 0.0:
-            if y == s:
-                return None
-            return half
-        fb = flow_x(half, st.v, s, r)
-        if fb == 0.0:
-            return half
-        if (x > 0.0) == (fb > 0.0):
-            # |x| sits below the numerical floor of the far endpoint, which is
-            # -x e^{-mu pi/omega} up to roundoff of sin(pi).  Linearize at 0.
-            return x / d_coef if x * d_coef > 0.0 else half
-        # f(0) = x and f(pi/omega) = -x * e^{-mu pi/omega}: guaranteed bracket.
-        root = brentq(flow_x, 0.0, half, args=(st.v, s, r),
-                      xtol=_BRENTQ_XTOL, maxiter=_BRENTQ_MAXITER)
-        if root > 0.0:
-            return root
-        # Interval collapsed onto 0: true root is positive but below xtol.
+    if r.regime is not Regime.UNDERDAMPED or x == 0.0:
+        return first_crossing(x, d_coef, r)
+    half = r.half_wave
+    fb = flow_x(half, st.v, s, r)
+    if fb == 0.0:
+        # e^{-mu pi/omega} underflowed (Q just above 1/2): nothing to bracket.
+        return first_crossing(x, d_coef, r)
+    if (x > 0.0) == (fb > 0.0):
+        # |x| sits below the numerical floor of the far endpoint, which is
+        # -x e^{-mu pi/omega} up to roundoff of sin(pi).  Linearize at 0.
         return x / d_coef if x * d_coef > 0.0 else half
-
-    if r.regime is Regime.CRITICAL:
-        # e^{mu t} x(t) = x - d_coef * t: at most one positive root.
-        if d_coef == 0.0:
-            return None
-        root = x / d_coef
-        return root if root > 0.0 else None
-
-    # Overdamped: e^{mu t} x(t) = x*cosh(w t) - (d_coef/w)*sinh(w t);
-    # tanh(w t) = x*w/d_coef at the root.
-    w = r.omega_abs
-    if d_coef == 0.0:
-        return None
-    ratio = x * w / d_coef
-    if not 0.0 < ratio < 1.0:
-        return None
-    return math.atanh(ratio) / w
+    # f(0) = x and f(pi/omega) = -x * e^{-mu pi/omega}: guaranteed bracket.
+    root = brentq(flow_x, 0.0, half, args=(st.v, s, r),
+                  xtol=_BRENTQ_XTOL, maxiter=_BRENTQ_MAXITER)
+    if root > 0.0:
+        return root
+    # Interval collapsed onto 0: true root is positive but below xtol.
+    return x / d_coef if x * d_coef > 0.0 else half
 
 
 @dataclass
@@ -193,20 +169,12 @@ class OrbitRecord:
         ts = [e.time for e in self.events]
         return [b - a for a, b in zip(ts, ts[1:])]
 
-    @property
-    def h_section(self) -> list[tuple[float, float]]:
-        """Headpoints recorded exactly at H-type events."""
+    def h_section(self, *kinds: EventKind) -> list[tuple[float, float]]:
+        """Headpoints recorded exactly at events of the given kinds, in event order."""
         return [
             (hp.x, hp.y)
             for e, hp in zip(self.events, self.headpoints)
-            if e.kind.is_history
-        ]
-
-    def h_section_by_kind(self, kind: EventKind) -> list[tuple[float, float]]:
-        return [
-            (hp.x, hp.y)
-            for e, hp in zip(self.events, self.headpoints)
-            if e.kind is kind
+            if e.kind in kinds
         ]
 
 
@@ -318,16 +286,18 @@ class OrbitClass:
         return f"[{seq}]_{self.nu}^{self.symmetry}"
 
 
-# Relative tolerance on inter-event intervals when matching candidate periods.
+# Relative tolerance on inter-event intervals when matching candidate periods,
+# and the longest event block tried as a period.
 PERIOD_RTOL = 1e-8
+MAX_BLOCK = 40
+
+# A quasiperiodic section's last two quarter diameters agree within this
+# relative change and stay above the floor.
+SECTION_REL_CHANGE = 0.2
+SECTION_FLOOR = 1e-6
 
 
-def classify(
-    rec: OrbitRecord,
-    min_events: int = 200,
-    max_block: int = 40,
-    period_rtol: float = PERIOD_RTOL,
-) -> OrbitClass:
+def classify(rec: OrbitRecord, min_events: int = 200) -> OrbitClass:
     """Classify an orbit record as periodic / quasiperiodic / nonoscillatory.
 
     Periodicity requires the event-kind sequence and the inter-event
@@ -341,7 +311,7 @@ def classify(
     if len(rec.events) < min_events:
         return OrbitClass(tag=OrbitTag.UNDECIDED)
 
-    block = _find_repeating_block(rec, max_block, period_rtol)
+    block = _find_repeating_block(rec)
     if block is not None:
         return _label_periodic(rec, block)
 
@@ -350,11 +320,11 @@ def classify(
     return OrbitClass(tag=OrbitTag.UNDECIDED)
 
 
-def _find_repeating_block(rec, max_block, rtol):
+def _find_repeating_block(rec):
     events = rec.events
     intervals = rec.intervals
-    scale = max(abs(v) for v in intervals[-3 * max_block :]) or 1.0
-    for block in range(2, max_block + 1):
+    scale = max(abs(v) for v in intervals[-3 * MAX_BLOCK :]) or 1.0
+    for block in range(2, MAX_BLOCK + 1):
         need = 3 * block
         if need > len(intervals):
             return None
@@ -363,7 +333,7 @@ def _find_repeating_block(rec, max_block, rtol):
         ok = all(
             kinds[i] is kinds[i + block] for i in range(need + 1 - block)
         ) and all(
-            abs(ivs[i] - ivs[i + block]) <= rtol * scale
+            abs(ivs[i] - ivs[i + block]) <= PERIOD_RTOL * scale
             for i in range(need - block)
         )
         if ok and any(events[j].kind.is_history for j in range(len(events) - block, len(events))):
@@ -423,17 +393,17 @@ def _symmetry_label(events, heads, block):
     return "S"
 
 
-def _section_diameter_stable(rec, rel_change=0.2, floor=1e-6):
+def _section_diameter_stable(rec):
     # One event kind only: mixing H with Hbar would measure the orbit scale
     # (the two sets are near-negatives) instead of the section's spread.
-    pts = rec.h_section_by_kind(EventKind.H)
+    pts = rec.h_section(EventKind.H)
     if len(pts) < 40:
         return False
     q = len(pts) // 4
     d = [_diameter(pts[i * q : (i + 1) * q]) for i in range(4)]
-    if d[3] < floor:
+    if d[3] < SECTION_FLOOR:
         return False
-    if abs(d[2] - d[3]) > rel_change * max(d[2], d[3]):
+    if abs(d[2] - d[3]) > SECTION_REL_CHANGE * max(d[2], d[3]):
         return False
     # A slowly contracting periodic transient also has locally stable
     # quarter diameters; demand that the spread has not kept decaying.

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .params import Rates
+from .params import Rates, Regime
 
 # |omega2| * t^2 below this uses the series; three terms give ~1e-24 truncation.
 SERIES_THRESHOLD = 1e-8
@@ -147,6 +148,33 @@ def flow_x(t: float, v: Headpoint, s: int, r: Rates) -> float:
     egc, egs = decayed_gcos_gsinc(t, r)
     mu = r.mu
     return (egc - mu * egs) * v.x - 2.0 * mu * egs * (v.y - s)
+
+
+def first_crossing(x: float, d: float, r: Rates) -> Optional[float]:
+    """Smallest t > 0 with x gcos(t) - d gsinc(t) = 0, or None when there is none.
+
+    e^{mu t} x(t) of a frozen-feedback flow has this form (d = mu x +
+    2 mu (y - s)), so its zeros are the crossings of x.  Underdamped,
+    tan(omega t) = omega x / d has a root in every half wave; the arctangent
+    of the sign-flipped pair lands in (0, pi) directly, where adding pi to a
+    negative angle would cancel when omega t << 1.  Critical, the line
+    x - d t; overdamped, tanh(|omega| t) = |omega| x / d, which has a root
+    only for a ratio in (0, 1).
+    """
+    if r.regime is Regime.UNDERDAMPED:
+        w = r.omega_abs
+        if x == 0.0:
+            return math.pi / w if d != 0.0 else None
+        return math.atan2(w * abs(x), d if x > 0.0 else -d) / w
+    if d == 0.0:
+        return None
+    if r.regime is Regime.CRITICAL:
+        t = x / d
+        return t if t > 0.0 else None
+    ratio = r.omega_abs * x / d
+    if not 0.0 < ratio < 1.0:
+        return None
+    return math.atanh(ratio) / r.omega_abs
 
 
 def derivative(v: Headpoint, s: int, r: Rates) -> tuple[float, float]:

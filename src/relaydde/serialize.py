@@ -13,7 +13,7 @@ import json
 from typing import Any, Iterable, Optional, TextIO
 
 from .atlas import BifurcationPoint, BranchSample, RegionGrid
-from .events import OrbitClass, OrbitRecord
+from .events import EventKind, OrbitClass, OrbitRecord
 from .symmap import FixedPoint, Spectrum
 from .torus import TorusScanResult
 
@@ -57,7 +57,7 @@ def orbit_record_json(rec: OrbitRecord, cls: Optional[OrbitClass] = None) -> dic
         "n_events": len(rec.events),
         "events": [{"kind": e.kind.value, "time": e.time} for e in rec.events],
         "intervals": rec.intervals,
-        "h_section": [list(pt) for pt in rec.h_section],
+        "h_section": [list(pt) for pt in rec.h_section(EventKind.H, EventKind.HBAR)],
     }
     if cls is not None:
         out["classification"] = {

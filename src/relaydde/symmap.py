@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import Degenerate, InvalidState, NoCrossing, NoRoot
 from .events import SystemState
-from .flow import Headpoint, decayed_gcos_gsinc, gsinc
+from .flow import Headpoint, decayed_gcos_gsinc, first_crossing, gsinc
 from .params import Parameters, Rates, Regime, derive_rates
 from .rootfind import brentq
 
@@ -66,8 +66,8 @@ def delta_of(s: StateVector) -> float:
 def z_of(s: StateVector, r: Rates, delta: Optional[float] = None) -> float:
     """Time from the feedback switch to the next zero crossing of x.
 
-    Underdamped this is a quadrant-corrected arctangent constrained to
-    (0, pi/omega]; overdamped the same ratio feeds an artanh and the
+    After the switch gap the flow's crossing function is num gcos(z) -
+    den gsinc(z) (see ``flow.first_crossing``); overdamped or critical the
     crossing may not exist.  The boundary case of a vanishing numerator
     (y_Z = -1, or a switch gap hitting a half wave) is rejected: it would
     put the crossing at the switch itself.
@@ -78,27 +78,12 @@ def z_of(s: StateVector, r: Rates, delta: Optional[float] = None) -> float:
     yp1 = s.yZ + 1.0
     num = egs * yp1                   # e^{-mu d} gsinc(d) (y_Z + 1)
     den = 2.0 - egc * yp1             # 2 - e^{-mu d} gcos(d) (y_Z + 1)
-
     if num == 0.0:
         raise NoCrossing("zero-crossing time degenerates to z = 0")
-
-    if r.regime is Regime.UNDERDAMPED:
-        w = r.omega_abs
-        z = math.atan2(w * num, den) / w
-        if z <= 0.0:
-            z += math.pi / w
-        return z
-    if r.regime is Regime.CRITICAL:
-        if den == 0.0 or num / den <= 0.0:
-            raise NoCrossing("no positive crossing in the critical regime")
-        return num / den
-    w = r.omega_abs
-    if den == 0.0:
-        raise NoCrossing("no crossing: hyperbolic ratio diverges")
-    ratio = w * num / den
-    if not 0.0 < ratio < 1.0:
-        raise NoCrossing(f"no overdamped crossing (tanh argument {ratio})")
-    return math.atanh(ratio) / w
+    z = first_crossing(num, den, r)
+    if z is None:
+        raise NoCrossing(f"no positive crossing in the {r.regime.value} regime")
+    return z
 
 
 def map_M(s: StateVector, p: Parameters, r: Optional[Rates] = None) -> StateVector:
@@ -318,15 +303,13 @@ def fixed_point(nu: int, p: Parameters) -> FixedPoint:
 
 @dataclass(frozen=True)
 class JacobianCoeffs:
-    """Entries of the first two Jacobian rows, with identity residuals attached."""
+    """Entries of the first two Jacobian rows, and e^{-2 mu T*}."""
 
     a: float
     b: float
     c: float
     d: float
     exp_2muT: float
-    identity1_residual: float  # (a-1)d - bc - (1 + 2 gcos(T) e^{-mu T} + e^{-2 mu T})
-    identity2_residual: float  # a(d+1) - bc - e^{-2 mu T}
 
 
 def jacobian_coeffs(fp: FixedPoint) -> JacobianCoeffs:
@@ -341,13 +324,7 @@ def jacobian_coeffs(fp: FixedPoint) -> JacobianCoeffs:
     b = -omega_c2 * yp1 * egs
     c = egs / yp1
     d = -1.0 - (egc - r.mu * egs)
-    e2 = math.exp(-2.0 * r.mu * T)
-    id1 = (a - 1.0) * d - b * c - (1.0 + 2.0 * egc + e2)
-    id2 = a * (d + 1.0) - b * c - e2
-    return JacobianCoeffs(
-        a=a, b=b, c=c, d=d, exp_2muT=e2,
-        identity1_residual=id1, identity2_residual=id2,
-    )
+    return JacobianCoeffs(a=a, b=b, c=c, d=d, exp_2muT=math.exp(-2.0 * r.mu * T))
 
 
 def jacobian_matrix(jc: JacobianCoeffs, nu: int) -> np.ndarray:

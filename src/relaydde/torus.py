@@ -14,7 +14,7 @@ fraction before classifying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,29 +28,23 @@ from .symmap import FixedPoint, fixed_point, state_from_fixed_point
 DEFAULT_EVENTS = 40000
 DEFAULT_TRANSIENT = 0.2
 
+# classify_section thresholds; cluster width and largest gap scale with the diameter.
+CLUSTER_EPS_REL = 0.01
+MAX_CLUSTERS = 16
+MIN_CURVE_POINTS = 200
+MIN_DIAMETER = 1e-3
+GAP_FACTOR = 0.08
+
 
 def perturbed_seed(fp: FixedPoint, eps: float = 1e-3) -> SystemState:
     """Fixed-point state with the y coordinate scaled by (1 + eps)."""
     st = state_from_fixed_point(fp)
-    return SystemState(
-        t=st.t,
-        v=Headpoint(st.v.x, st.v.y * (1.0 + eps)),
-        zeros=st.zeros,
-        hist_sign=st.hist_sign,
-        cur_sign=st.cur_sign,
-    )
+    return replace(st, v=Headpoint(st.v.x, st.v.y * (1.0 + eps)))
 
 
 def rebase_state(st: SystemState) -> SystemState:
     """Shift the time origin to 0 so chained runs do not accumulate large t."""
-    t0 = st.t
-    return SystemState(
-        t=0.0,
-        v=st.v,
-        zeros=tuple(z - t0 for z in st.zeros),
-        hist_sign=st.hist_sign,
-        cur_sign=st.cur_sign,
-    )
+    return replace(st, t=0.0, zeros=tuple(z - st.t for z in st.zeros))
 
 
 @dataclass(frozen=True)
@@ -62,17 +56,11 @@ class SectionShape:
     box_dimension: Optional[float]
 
 
-def classify_section(
-    points: list[tuple[float, float]],
-    cluster_eps_rel: float = 0.01,
-    max_clusters: int = 16,
-    min_curve_points: int = 200,
-    min_diameter: float = 1e-3,
-) -> SectionShape:
+def classify_section(points: list[tuple[float, float]]) -> SectionShape:
     """Geometric classification of a section point set.
 
-    A section collapsing into at most ``max_clusters`` tight clusters, or one
-    whose total extent sits below ``min_diameter`` (a decayed remnant around
+    A section collapsing into at most ``MAX_CLUSTERS`` tight clusters, or one
+    whose total extent sits below ``MIN_DIAMETER`` (a decayed remnant around
     a periodic point), is periodic.  A closed invariant curve must look
     one-dimensional at two box scales, have curve-like nearest-neighbor
     spacing, and leave no large gap along itself.
@@ -81,14 +69,14 @@ def classify_section(
     if len(pts) < 8:
         return SectionShape("empty", len(pts), None, 0.0, None)
     diam = math.hypot(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
-    if diam <= min_diameter:
+    if diam <= MIN_DIAMETER:
         return SectionShape("cluster", len(pts), 1, diam, None)
 
-    n_clusters = _count_clusters(pts, cluster_eps_rel * diam, max_clusters)
+    n_clusters = _count_clusters(pts, CLUSTER_EPS_REL * diam)
     if n_clusters is not None:
         return SectionShape("cluster", len(pts), n_clusters, diam, None)
 
-    if len(pts) < min_curve_points:
+    if len(pts) < MIN_CURVE_POINTS:
         return SectionShape("irregular", len(pts), None, diam, None)
 
     dim = _box_dimension(pts, diam)
@@ -99,7 +87,7 @@ def classify_section(
     return SectionShape("irregular", len(pts), None, diam, dim)
 
 
-def _count_clusters(pts, eps, max_clusters):
+def _count_clusters(pts, eps):
     """Greedy clustering; None when the set is not cluster-like."""
     centers: list[np.ndarray] = []
     counts: list[int] = []
@@ -110,7 +98,7 @@ def _count_clusters(pts, eps, max_clusters):
                 break
         else:
             centers.append(p)
-            if len(centers) > max_clusters:
+            if len(centers) > MAX_CLUSTERS:
                 return None
             counts.append(1)
     return len(centers)
@@ -138,13 +126,13 @@ def _median_spacing(pts):
     return float(np.median(dists))
 
 
-def _no_large_gaps(pts, diam, factor=0.08):
-    """Every point's nearest neighbor lies within factor * diameter."""
+def _no_large_gaps(pts, diam):
+    """Every point's nearest neighbor lies within GAP_FACTOR * diameter."""
     sub = pts[:: max(1, len(pts) // 512)]
     for p in sub:
         d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
         d2 = np.partition(d2, 1)[1]  # skip self
-        if d2 > (factor * diam) ** 2:
+        if d2 > (GAP_FACTOR * diam) ** 2:
             return False
     return True
 
@@ -175,7 +163,7 @@ def run_section(
         rec = simulate(st, p, max_events=max_events)
     except CornerCollision:
         return SectionShape("empty", 0, None, 0.0, None), [], None, "corner-collision"
-    pts = rec.h_section_by_kind(EventKind.H)
+    pts = rec.h_section(EventKind.H)
     pts = pts[int(len(pts) * transient_fraction):]
     if rec.terminated == "nonoscillatory":
         return SectionShape("empty", len(pts), None, 0.0, None), pts, None, "nonoscillatory"

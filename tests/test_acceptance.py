@@ -15,7 +15,7 @@ import pytest
 from relaydde.atlas import mode_ns_points, ns_locus, pitchfork_locus
 from relaydde.errors import Degenerate, NoRoot
 from relaydde.events import classify, simulate, OrbitTag, SystemState
-from relaydde.flow import Headpoint, gsinc
+from relaydde.flow import Headpoint, decayed_gcos_gsinc, gsinc
 from relaydde.params import Parameters, Regime, derive_rates
 from relaydde.symmap import (
     StateVector,
@@ -179,6 +179,14 @@ def test_criterion_4_spectrum_oracle():
           f"{n_checks} spectra over 100 parameter points, worst distance {worst:.2e} (tol 1e-8)")
 
 
+def identity_residuals(fp, jc):
+    """Residuals of (a-1)d - bc = 1 + 2 e^{-mu T} gcos(T) + e^{-2 mu T} and a(d+1) - bc = e^{-2 mu T}."""
+    egc, _ = decayed_gcos_gsinc(fp.Tstar, derive_rates(fp.params))
+    e2 = jc.exp_2muT
+    return ((jc.a - 1.0) * jc.d - jc.b * jc.c - (1.0 + 2.0 * egc + e2),
+            jc.a * (jc.d + 1.0) - jc.b * jc.c - e2)
+
+
 def test_criterion_5_coefficient_bound_suite():
     rng = np.random.default_rng(5)
     n = 0
@@ -205,7 +213,7 @@ def test_criterion_5_coefficient_bound_suite():
         n += 1
         r = derive_rates(p)
         assert abs(jc.a) < 1.0, f"|a| >= 1 at {p}, nu={nu}"
-        worst_id = max(worst_id, abs(jc.identity1_residual), abs(jc.identity2_residual))
+        worst_id = max(worst_id, *map(abs, identity_residuals(fp, jc)))
         sp = char_roots(jc, nu)
         d_plus1 = min(abs(z - 1.0) for z in sp.roots)
         min_plus1 = min(min_plus1, d_plus1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relaydde import atlas
 from relaydde.atlas import (
     corner_omega,
     mode_base,
@@ -225,7 +226,7 @@ class TestModeTrace:
             assert fwd_map[om] == pytest.approx(bwd_map[om], rel=1e-10)
 
     def test_segments_overdamped_single(self):
-        segs = mode_segments(2, 0.45, (1.0, 40.0), -1)
+        segs = mode_segments(2, 0.45, (1.0, 40.0))
         assert segs == [(2, (1.0, 40.0))]
 
 
@@ -249,6 +250,21 @@ class TestPeriodDiagram:
         # the lowest mode loses stability at a pitchfork, the next at NS
         assert any(m.marker == "PF" and m.nu == 1 for m in markers)
         assert any(m.marker == "NS" and m.nu in (2, 3) for m in markers)
+
+    @pytest.mark.parametrize("samples", [40, 1000])
+    def test_marker_scans_follow_samples(self, samples, monkeypatch):
+        # Each mode segment's NS/PF scan gets its length share of samples,
+        # at least 32 (Q = 1.5: nu = 2 below the corner near 10, nu = 3 above).
+        seen = {"ns": [], "pf": []}
+        monkeypatch.setattr(atlas, "ns_locus",
+                            lambda nu, Q, rng, sigma=-1, samples=0: seen["ns"].append(samples) or [])
+        monkeypatch.setattr(atlas, "pitchfork_locus",
+                            lambda nu, Q, rng, samples=0: seen["pf"].append(samples) or [])
+        period_diagram([2], 1.5, (4.0, 24.0), sigma=-1, samples=samples)
+        segs = mode_segments(2, 1.5, (4.0, 24.0))
+        shares = [max(32, int(samples * (hi - lo) / 20.0)) for _, (lo, hi) in segs]
+        assert seen["ns"] == shares
+        assert seen["pf"] == [n for (nu, _), n in zip(segs, shares) if nu % 2]
 
     def test_passband_rows_present(self):
         rows = period_diagram([2], 1.5, (5.0, 10.0), sigma=-1, samples=40)

@@ -53,6 +53,14 @@ class TestSimulate:
         assert by_suffix.read_bytes() == by_flag.read_bytes()
         assert json.loads(by_suffix.read_text())["n_events"] == 200
 
+    def test_explicit_format_beats_json_suffix(self, tmp_path):
+        argv = ["simulate", "--Q", "1.5", "--Omega", "14", "--events", "200"]
+        forced, plain = tmp_path / "orbit.json", tmp_path / "orbit.csv"
+        assert main(argv + ["--format", "csv", "--out", str(forced)]) == 0
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert forced.read_bytes() == plain.read_bytes()
+        assert forced.read_text().startswith("t,x,y\n")
+
 
 class TestFixedpointSpectrum:
     def test_json_schema(self, capsys):

@@ -67,6 +67,15 @@ class TestNextDelays:
             # residual at the root
             assert abs(apply_flow(z, v, -1, r).x) < 1e-10
 
+    def test_crossing_found_when_half_wave_underflows(self):
+        # Just above Q = 1/2 the half wave is so long that x(pi/omega)
+        # underflows to 0; the crossing comes long before it.
+        r = derive_rates(Parameters(Q=0.5000000831872895, Omega=25.91716193837304))
+        st = SystemState(t=0.0, v=Headpoint(-0.43620484406794624, -0.8605709763144658),
+                         zeros=(), hist_sign=-1, cur_sign=-1)
+        assert r.half_wave > 200.0
+        assert next_z_delay(st, 1, r) == pytest.approx(0.004048432098942522, rel=1e-14)
+
     def test_overdamped_no_crossing_toward_node(self):
         r = derive_rates(P_SLOW)
         st = initial_state(0.5, 0.0)

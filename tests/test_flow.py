@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from relaydde.events import NODE_TOLERANCE, SystemState, next_z_delay
 from relaydde.flow import (
     Headpoint,
     apply_flow,
@@ -14,8 +16,10 @@ from relaydde.flow import (
     decayed_gcos_gsinc,
     decayed_gcos_gsinc_array,
     derivative,
+    first_crossing,
     flow_matrix,
     flow_offset,
+    flow_x,
     gcos,
     gsinc,
 )
@@ -265,3 +269,93 @@ class TestApplyFlow:
         r = derive_rates(Parameters(Q=1.0, Omega=2.0))
         with pytest.raises(ValueError):
             apply_flow(0.1, Headpoint(0.1, 0.1), 0, r)
+
+
+ORACLE_HORIZON = 3.0
+
+# Random frozen-feedback states (x != 0) at any Omega; Q is drawn separately.
+# A subnormal x would put the crossing below the smallest positive float.
+_STATE = dict(
+    Omega=st.floats(0.5, 20.0),
+    x=st.floats(-2.0, 2.0, allow_subnormal=False).filter(lambda v: v != 0.0),
+    y=st.floats(-3.0, 3.0),
+    s=st.sampled_from((-1, 1)),
+)
+
+
+def brent_first_crossing(v, s, r, n=4000):
+    """Oracle: first sign change of flow_x on a uniform grid over
+    (0, ORACLE_HORIZON], refined by scipy's Brent; None when x keeps its sign.
+    Underdamped crossings are at least pi/20 apart for Omega <= 20, so the
+    grid cannot step over one."""
+    ts = np.linspace(0.0, ORACLE_HORIZON, n + 1)
+    prev = flow_x(0.0, v, s, r)
+    for a, b in zip(ts[:-1], ts[1:]):
+        fb = flow_x(b, v, s, r)
+        if fb == 0.0:
+            return float(b)
+        if (prev > 0.0) != (fb > 0.0):
+            return brentq(flow_x, a, b, args=(v, s, r), xtol=1e-300, rtol=4 * EPS, maxiter=2000)
+        prev = fb
+    return None
+
+
+class TestFirstCrossing:
+    """The closed-form crossing against root finding on the flow itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        Q=st.one_of(
+            st.floats(0.15, 4.0),
+            st.floats(0.15, 0.5, exclude_max=True),  # overdamped side
+            st.just(0.5),
+            st.floats(-1e-6, 1e-6).map(lambda e: 0.5 + e),
+        ),
+        **_STATE,
+    )
+    def test_matches_brent_oracle(self, Q, Omega, x, y, s):
+        r = derive_rates(Parameters(Q=Q, Omega=Omega))
+        t = first_crossing(x, r.mu * x + 2.0 * r.mu * (y - s), r)
+        oracle = brent_first_crossing(Headpoint(x, y), s, r)
+        if t is None or t > ORACLE_HORIZON:
+            assert oracle is None
+        else:
+            # Within 1e-6 of Q = 1/2 the oracle's flow_x carries an error of
+            # about eps/|omega| (overdamped sinh difference); the closed form
+            # stays at a few ulps of the exact root.
+            assert oracle == pytest.approx(t, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        Q=st.one_of(st.floats(0.5, 4.0), st.floats(0.0, 1e-6).map(lambda e: 0.5 + e))
+        .filter(lambda q: q > 0.5),
+        **_STATE,
+    )
+    def test_event_brent_root_matches(self, Q, Omega, x, y, s):
+        # The simulator's underdamped branch still brackets and refines with
+        # Brent (xtol 1e-14 absolute); past that it agrees to 1e-15 relative.
+        assume(abs(x) > NODE_TOLERANCE or abs(y - s) > NODE_TOLERANCE)
+        r = derive_rates(Parameters(Q=Q, Omega=Omega))
+        sign = 1 if x > 0.0 else -1
+        st_ = SystemState(t=0.0, v=Headpoint(x, y), zeros=(), hist_sign=sign, cur_sign=sign)
+        z = next_z_delay(st_, s, r)
+        t = first_crossing(x, r.mu * x + 2.0 * r.mu * (y - s), r)
+        assert abs(z - t) <= 1e-14 + 1e-15 * t
+
+    @pytest.mark.parametrize("Q", [0.5 + 1e-9, 0.5 + 1e-6, 0.6])
+    def test_no_cancellation_for_negative_x(self, Q):
+        # x, d < 0: the root is atan(omega x / d) / omega, far below the half
+        # wave when omega is small; adding pi/omega to a negative angle over
+        # omega would lose most of its digits.
+        r = derive_rates(Parameters(Q=Q, Omega=2.0))
+        w = r.omega_abs
+        for x, d in [(-0.05, -3.0), (-1e-4, -0.5), (-1.0, -40.0)]:
+            assert first_crossing(x, d, r) == pytest.approx(math.atan(w * x / d) / w, rel=4 * EPS)
+
+    @pytest.mark.parametrize("Q", [0.4, 0.5, 1.5])
+    def test_post_crossing_state(self, Q):
+        r = derive_rates(Parameters(Q=Q, Omega=7.0))
+        expected = math.pi / r.omega_abs if r.regime is Regime.UNDERDAMPED else None
+        assert first_crossing(0.0, 1.0, r) == expected
+        assert first_crossing(-0.0, -1.0, r) == expected
+        assert first_crossing(0.0, 0.0, r) is None
