@@ -39,7 +39,7 @@ from .events import (
     simulate,
     step,
 )
-from .flow import Headpoint, apply_flow, first_crossing, flow_matrix, flow_offset, gcos, gsinc
+from .flow import Headpoint, apply_flow, first_crossing, gcos, gsinc
 from .params import Parameters, Rates, Regime, derive_rates
 from .symmap import (
     FixedPoint,

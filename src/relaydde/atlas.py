@@ -313,7 +313,6 @@ class RegionGrid:
     nus: list[int]
     Q_axis: np.ndarray
     Omega_axis: np.ndarray
-    sigma: int
     exists: np.ndarray  # bool, shape (len(nus), nQ, nOmega)
     stable: np.ndarray
     unstable_count: np.ndarray  # int, -1 where no fixed point
@@ -368,7 +367,7 @@ def region_scan(
     stable = np.zeros((n_nu, nq, nom), dtype=bool)
     counts = np.full((n_nu, nq, nom), -1, dtype=int)
     if n_nu == 0:
-        return RegionGrid(nus, q_axis, om_axis, sigma, exists, stable, counts)
+        return RegionGrid(nus, q_axis, om_axis, exists, stable, counts)
 
     tasks = [(list(nus), float(q), om_axis, sigma) for q in q_axis]
     if threads and threads > 1:
@@ -380,7 +379,7 @@ def region_scan(
         exists[:, iq, :] = e
         stable[:, iq, :] = s
         counts[:, iq, :] = c
-    return RegionGrid(nus, q_axis, om_axis, sigma, exists, stable, counts)
+    return RegionGrid(nus, q_axis, om_axis, exists, stable, counts)
 
 
 # --------------------------------------------------------------------------
@@ -417,9 +416,6 @@ class BranchSample:
 
 @dataclass
 class ModeBranch:
-    nu0: int
-    Q: float
-    sigma: int
     samples: list[BranchSample] = field(default_factory=list)
     markers: list[BranchSample] = field(default_factory=list)
     terminated: str = "range-end"
@@ -466,7 +462,7 @@ def mode_trace(
     """
     descending = omega_range[0] > omega_range[1]
     sorted_range = (min(omega_range), max(omega_range))
-    branch = ModeBranch(nu0=nu0, Q=Q, sigma=sigma)
+    branch = ModeBranch()
     segs = mode_segments(nu0, Q, sorted_range)
     if not segs:
         return branch

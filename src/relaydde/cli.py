@@ -46,6 +46,10 @@ _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _checked(float, lambda v: v > 0.0 and math.isfinite(v),
                            "a positive finite number")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_nonzero_float = _checked(float, lambda v: v != 0.0 and math.isfinite(v),
+                          "a non-zero finite number")
+_fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 _nu_list = _checked(lambda t: [int(tok) for tok in t.split(",") if tok.strip() != ""],
                     lambda v: all(nu >= 0 for nu in v), "comma-separated non-negative integers")
 _resolution = _checked(lambda t: tuple(int(tok) for tok in t.split("x")),
@@ -87,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sp)
     sp.add_argument("--events", type=_positive_int, default=2000)
     sp.add_argument("--horizon", type=_positive_float, default=None, help="stop at this time instead")
-    sp.add_argument("--x0", type=float, default=0.5, help="constant-history value of x")
-    sp.add_argument("--y0", type=float, default=0.0)
+    sp.add_argument("--x0", type=_nonzero_float, default=0.5, help="constant-history value of x")
+    sp.add_argument("--y0", type=_finite_float, default=0.0)
     sp.add_argument("--seed-nu", type=_nonneg_int, default=None,
                     help="seed near the nu fixed point instead of a constant history")
-    sp.add_argument("--seed-eps", type=float, default=1e-3)
+    sp.add_argument("--seed-eps", type=_finite_float, default=1e-3)
     sp.add_argument("--sample-dt", type=_positive_float, default=None,
                     help="dense output step between events")
     _add_output(sp)
@@ -154,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--settle-events", type=_positive_int, default=None,
                     help="budget for the first scan point (default: 2x --events; "
                     "transients near the torus bifurcation are slow)")
-    sp.add_argument("--transient-frac", type=float, default=0.2)
+    sp.add_argument("--transient-frac", type=_fraction, default=0.2)
     sp.add_argument("--no-warm-start", action="store_true")
-    sp.add_argument("--seed-eps", type=float, default=1e-3)
+    sp.add_argument("--seed-eps", type=_finite_float, default=1e-3)
     _add_output(sp)
     return ap
 
@@ -215,9 +219,7 @@ def _cmd_simulate(args) -> int:
         if args.format == "json" or (args.format is None and args.out.endswith(".json")):
             _emit(args.out, "json", None, None, [serialize.orbit_record_json(rec, cls)])
         else:
-            rows = rec.samples or [
-                (e.time, hp.x, hp.y) for e, hp in zip(rec.events, rec.headpoints)
-            ]
+            rows = rec.samples or [(e.time, e.v.x, e.v.y) for e in rec.events]
             _emit(args.out, "csv", serialize.ORBIT_CSV_HEADER, rows)
     summary = {
         "command": "simulate",
@@ -298,7 +300,7 @@ def _cmd_mode_trace(args) -> int:
 
 def _cmd_torus_scan(args) -> int:
     omegas = [float(om) for om in np.linspace(args.omega_min, args.omega_max, args.steps)]
-    result = torus_scan(
+    entries = torus_scan(
         args.Q, omegas,
         sigma=args.sigma, nu=args.nu,
         max_events=args.events,
@@ -307,10 +309,10 @@ def _cmd_torus_scan(args) -> int:
         seed_eps=args.seed_eps,
         settle_events=args.settle_events or 2 * args.events,
     )
-    summaries = serialize.torus_summary_json(result)
+    summaries = serialize.torus_summary_json(entries)
     if args.out:
         _emit(args.out, args.format, serialize.TORUS_CSV_HEADER,
-              serialize.torus_rows(result), summaries)
+              serialize.torus_rows(entries), summaries)
     for line in summaries:
         print(serialize.json_line(line))
     return 0
@@ -330,8 +332,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(argv)
     ap = build_parser()
+    try:
+        argv = _apply_config(argv)
+    except OSError as exc:
+        ap.error(f"--config: {exc}")
     args = ap.parse_args(argv)
     try:
         args.threads = args.threads or _default_threads()

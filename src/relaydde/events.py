@@ -67,8 +67,11 @@ _BARRED = {
 
 @dataclass(frozen=True)
 class Event:
+    """One switching event: its kind, its time and the headpoint just after it."""
+
     kind: EventKind
     time: float
+    v: Headpoint
 
 
 @dataclass(frozen=True)
@@ -77,24 +80,24 @@ class SystemState:
 
     zeros : crossing times tau_1 > tau_2 > ... > tau_k, all in (t-1, t]
     hist_sign : sign of x(t-1) on the current segment
-    cur_sign : sign of x on the current segment (just after t when x(t)=0)
     """
 
     t: float
     v: Headpoint
     zeros: tuple[float, ...]
     hist_sign: int
-    cur_sign: int
+
+    @property
+    def cur_sign(self) -> int:
+        """Sign of x on the current segment (just after t when x(t)=0).
+
+        Each stored crossing flips the sign once between t-1 and t.
+        """
+        return -self.hist_sign if len(self.zeros) % 2 else self.hist_sign
 
     def __post_init__(self):
-        if self.hist_sign not in (-1, 1) or self.cur_sign not in (-1, 1):
-            raise ValueError("signs must be +1 or -1")
-        k = len(self.zeros)
-        if self.cur_sign != self.hist_sign * (-1) ** k:
-            raise ValueError(
-                f"sign bookkeeping inconsistent: k={k}, "
-                f"hist={self.hist_sign}, cur={self.cur_sign}"
-            )
+        if self.hist_sign not in (-1, 1):
+            raise ValueError("hist_sign must be +1 or -1")
         for a, b in zip(self.zeros, self.zeros[1:]):
             if not a > b:
                 raise ValueError("zeros must be strictly decreasing")
@@ -107,8 +110,7 @@ def initial_state(x0: float, y0: float = 0.0) -> SystemState:
     """State for a constant history x = x0 != 0 on [-1, 0] (empty crossing list)."""
     if x0 == 0.0:
         raise ValueError("constant history must have x0 != 0")
-    s = 1 if x0 > 0 else -1
-    return SystemState(t=0.0, v=Headpoint(x0, y0), zeros=(), hist_sign=s, cur_sign=s)
+    return SystemState(t=0.0, v=Headpoint(x0, y0), zeros=(), hist_sign=1 if x0 > 0 else -1)
 
 
 def next_h_delay(st: SystemState) -> Optional[float]:
@@ -140,16 +142,15 @@ def next_z_delay(st: SystemState, s: int, r: Rates) -> Optional[float]:
     if fb == 0.0:
         # e^{-mu pi/omega} underflowed (Q just above 1/2): nothing to bracket.
         return first_crossing(x, d_coef, r)
-    if (x > 0.0) == (fb > 0.0):
-        # |x| sits below the numerical floor of the far endpoint, which is
-        # -x e^{-mu pi/omega} up to roundoff of sin(pi).  Linearize at 0.
-        return x / d_coef if x * d_coef > 0.0 else half
-    # f(0) = x and f(pi/omega) = -x * e^{-mu pi/omega}: guaranteed bracket.
-    root = brentq(flow_x, 0.0, half, args=(st.v, s, r),
-                  xtol=_BRENTQ_XTOL, maxiter=_BRENTQ_MAXITER)
-    if root > 0.0:
-        return root
-    # Interval collapsed onto 0: true root is positive but below xtol.
+    if (x > 0.0) != (fb > 0.0):
+        # f(0) = x and f(pi/omega) = -x * e^{-mu pi/omega}: guaranteed bracket.
+        root = brentq(flow_x, 0.0, half, args=(st.v, s, r),
+                      xtol=_BRENTQ_XTOL, maxiter=_BRENTQ_MAXITER)
+        if root > 0.0:
+            return root
+    # Either |x| sits below the numerical floor of the far endpoint (which is
+    # -x e^{-mu pi/omega} up to roundoff of sin(pi)), or the bracket collapsed
+    # onto 0 with the true root positive but below xtol.  Linearize at 0.
     return x / d_coef if x * d_coef > 0.0 else half
 
 
@@ -159,7 +160,6 @@ class OrbitRecord:
 
     params: Parameters
     events: list[Event] = field(default_factory=list)
-    headpoints: list[Headpoint] = field(default_factory=list)
     samples: list[tuple[float, float, float]] = field(default_factory=list)
     final_state: Optional[SystemState] = None
     terminated: str = "budget"
@@ -171,11 +171,7 @@ class OrbitRecord:
 
     def h_section(self, *kinds: EventKind) -> list[tuple[float, float]]:
         """Headpoints recorded exactly at events of the given kinds, in event order."""
-        return [
-            (hp.x, hp.y)
-            for e, hp in zip(self.events, self.headpoints)
-            if e.kind in kinds
-        ]
+        return [(e.v.x, e.v.y) for e in self.events if e.kind in kinds]
 
 
 def step(st: SystemState, p: Parameters, r: Optional[Rates] = None) -> tuple[Event, SystemState]:
@@ -199,25 +195,13 @@ def step(st: SystemState, p: Parameters, r: Optional[Rates] = None) -> tuple[Eve
         v_new = apply_flow(z_delay, st.v, s, r)
         kind = EventKind.Z if st.cur_sign < 0 else EventKind.ZBAR
         v_new = Headpoint(0.0, v_new.y)  # snap: keeps x(tau_j) = 0 exact over long runs
-        new = SystemState(
-            t=t_new,
-            v=v_new,
-            zeros=(t_new,) + st.zeros,
-            hist_sign=st.hist_sign,
-            cur_sign=-st.cur_sign,
-        )
+        new = SystemState(t=t_new, v=v_new, zeros=(t_new,) + st.zeros, hist_sign=st.hist_sign)
     else:
         t_new = st.zeros[-1] + 1.0  # exact H-Z pairing, not t + h_delay
         v_new = apply_flow(h_delay, st.v, s, r)
         kind = EventKind.H if st.hist_sign < 0 else EventKind.HBAR
-        new = SystemState(
-            t=t_new,
-            v=v_new,
-            zeros=st.zeros[:-1],
-            hist_sign=-st.hist_sign,
-            cur_sign=st.cur_sign,
-        )
-    return Event(kind, t_new), new
+        new = SystemState(t=t_new, v=v_new, zeros=st.zeros[:-1], hist_sign=-st.hist_sign)
+    return Event(kind, t_new, v_new), new
 
 
 def simulate(
@@ -248,7 +232,6 @@ def simulate(
         if sample_dt is not None:
             _sample_segment(rec, st, ev.time, p.sigma * st.hist_sign, r, sample_dt)
         rec.events.append(ev)
-        rec.headpoints.append(st_next.v)
         st = st_next
     rec.final_state = st
     return rec
@@ -343,7 +326,6 @@ def _find_repeating_block(rec):
 
 def _label_periodic(rec, block):
     events = rec.events[-block:]
-    heads = rec.headpoints[-block:]
     intervals = rec.intervals[-block:]
     period = sum(intervals)
 
@@ -354,10 +336,9 @@ def _label_periodic(rec, block):
         next(i for i, e in enumerate(events) if e.kind.is_history),
     )
     events = events[start:] + events[:start]
-    heads = heads[start:] + heads[:start]
 
     nu = _count_nu(rec)
-    symmetry = _symmetry_label(events, heads, block)
+    symmetry = _symmetry_label(events, block)
     return OrbitClass(
         tag=OrbitTag.PERIODIC,
         symbols=tuple(e.kind.value for e in events),
@@ -376,7 +357,7 @@ def _count_nu(rec):
     return sum(1 for tau in z_times[:-1] if t - 1.0 < tau < t)
 
 
-def _symmetry_label(events, heads, block):
+def _symmetry_label(events, block):
     if block % 2 != 0:
         return "A"
     half = block // 2
@@ -384,10 +365,10 @@ def _symmetry_label(events, heads, block):
         if events[i + half].kind is not events[i].kind.bar:
             return "A"
     # Headpoints at H-type events must map to their negatives under the shift.
-    scale = max(max(abs(h.x), abs(h.y)) for h in heads) or 1.0
+    scale = max(max(abs(e.v.x), abs(e.v.y)) for e in events) or 1.0
     for i in range(half):
         if events[i].kind.is_history:
-            a, b = heads[i], heads[i + half]
+            a, b = events[i].v, events[i + half].v
             if max(abs(a.x + b.x), abs(a.y + b.y)) > 1e-6 * scale:
                 return "A"
     return "S"

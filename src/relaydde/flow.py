@@ -5,12 +5,13 @@ s in {+1, -1}; its solution is
 
     v(t) = A(t) v(0) + s * b(t)
 
-where A and b are written below in terms of two regime-spanning scalar
-functions ``gcos`` and ``gsinc``.  In the underdamped regime these are
-cos(omega t) and sin(omega t)/omega; in the overdamped regime the same code
-path evaluates cosh and sinh/|omega| through the sign of ``omega2``; at the
-critical point they reduce to 1 and t.  A short series covers the
-neighborhood of the critical point where the trig forms would cancel.
+where A and b (``_advance`` below) are written in terms of two
+regime-spanning scalar functions ``gcos`` and ``gsinc``.  In the
+underdamped regime these are cos(omega t) and sin(omega t)/omega; in the
+overdamped regime the same code path evaluates cosh and sinh/|omega|
+through the sign of ``omega2``; at the critical point they reduce to 1
+and t.  A short series covers the neighborhood of the critical point where
+the trig forms would cancel.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class Headpoint:
 
     x: float
     y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def gcos(t: float, r: Rates) -> float:
@@ -63,7 +61,8 @@ def decayed_gcos_gsinc(t: float, r: Rates) -> tuple[float, float]:
 
     In the overdamped regime |omega| < mu, so both exponents below are
     negative for t > 0 and the products stay bounded even when cosh alone
-    would overflow.
+    would overflow.  The sinh part is e^{(w-mu)t} (1 - e^{-2wt}) / (2w) with
+    the bracket from expm1, which does not cancel when w t is small.
     """
     w2t2 = r.omega2 * t * t
     if abs(w2t2) < SERIES_THRESHOLD or r.omega2 > 0.0:
@@ -72,7 +71,7 @@ def decayed_gcos_gsinc(t: float, r: Rates) -> tuple[float, float]:
     w = r.omega_abs
     ep = math.exp((w - r.mu) * t)
     em = math.exp(-(w + r.mu) * t)
-    return 0.5 * (ep + em), 0.5 * (ep - em) / w
+    return 0.5 * (ep + em), -0.5 * ep * math.expm1(-2.0 * w * t) / w
 
 
 def decayed_gcos_gsinc_array(t: np.ndarray, r: Rates) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +85,7 @@ def decayed_gcos_gsinc_array(t: np.ndarray, r: Rates) -> tuple[np.ndarray, np.nd
     elif r.omega2 < 0.0:
         ep = np.exp((w - r.mu) * t)
         em = np.exp(-(w + r.mu) * t)
-        egc, egs = 0.5 * (ep + em), 0.5 * (ep - em) / w
+        egc, egs = 0.5 * (ep + em), -0.5 * ep * np.expm1(-2.0 * w * t) / w
     else:  # critical: omega2 = 0 puts every t in the series
         egc, egs = np.empty_like(t), np.empty_like(t)
     if series.any():
@@ -95,26 +94,6 @@ def decayed_gcos_gsinc_array(t: np.ndarray, r: Rates) -> tuple[np.ndarray, np.nd
         egc[series] = decay * (1.0 - z / 2.0 + z * z / 24.0)
         egs[series] = decay * (ts * (1.0 - z / 6.0 + z * z / 120.0))
     return egc, egs
-
-
-def flow_matrix(t: float, r: Rates) -> np.ndarray:
-    """State-transition matrix A(t) of the frozen-feedback flow, t >= 0."""
-    egc, egs = decayed_gcos_gsinc(t, r)
-    mu = r.mu
-    # mu^2 + omega^2 = Omega^2 holds in every regime with omega2 signed.
-    a21 = r.omega_sq_plus_mu_sq / (2.0 * mu) * egs
-    return np.array(
-        [
-            [egc - mu * egs, -2.0 * mu * egs],
-            [a21, egc + mu * egs],
-        ]
-    )
-
-
-def flow_offset(t: float, r: Rates) -> np.ndarray:
-    """Offset b(t); the flow toward the node/spiral at (0, +1) is A(t)v + b(t)."""
-    egc, egs = decayed_gcos_gsinc(t, r)
-    return np.array([2.0 * r.mu * egs, 1.0 - (egc + r.mu * egs)])
 
 
 def _advance(egc, egs, v: Headpoint, s: int, r: Rates):
@@ -175,10 +154,3 @@ def first_crossing(x: float, d: float, r: Rates) -> Optional[float]:
     if not 0.0 < ratio < 1.0:
         return None
     return math.atanh(ratio) / r.omega_abs
-
-
-def derivative(v: Headpoint, s: int, r: Rates) -> tuple[float, float]:
-    """Right-hand side of the frozen-feedback ODE at v."""
-    dx = 2.0 * r.mu * (-v.x - v.y + s)
-    dy = r.omega_sq_plus_mu_sq / (2.0 * r.mu) * v.x
-    return dx, dy

@@ -81,8 +81,10 @@ def derive_rates(p: Parameters) -> Rates:
     accident.
     """
     mu = p.Omega / (2.0 * p.Q)
-    four_q2 = 4.0 * p.Q * p.Q
-    omega2 = p.Omega * p.Omega * (four_q2 - 1.0) / four_q2
+    # (2Q - 1)(2Q + 1), not 4Q^2 - 1: near Q = 1/2 the rounding of 4Q^2
+    # would dominate the difference, while 2Q - 1 is exact there.
+    two_q = 2.0 * p.Q
+    omega2 = p.Omega * p.Omega * ((two_q - 1.0) * (two_q + 1.0)) / (two_q * two_q)
     if p.Q > 0.5:
         regime = Regime.UNDERDAMPED
     elif p.Q < 0.5:

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, TextIO
 from .atlas import BifurcationPoint, BranchSample, RegionGrid
 from .events import EventKind, OrbitClass, OrbitRecord
 from .symmap import FixedPoint, Spectrum
-from .torus import TorusScanResult
+from .torus import TorusScanEntry
 
 SCHEMA_VERSION = 1
 
@@ -158,13 +158,13 @@ def branch_rows(samples: Iterable[BranchSample]):
 TORUS_CSV_HEADER = ["Q", "Omega", "tag", "x", "y"]
 
 
-def torus_rows(result: TorusScanResult):
-    for entry in result.entries:
+def torus_rows(entries: list[TorusScanEntry]):
+    for entry in entries:
         for x, y in entry.section:
             yield [entry.Q, entry.Omega, entry.tag, x, y]
 
 
-def torus_summary_json(result: TorusScanResult) -> list[dict]:
+def torus_summary_json(entries: list[TorusScanEntry]) -> list[dict]:
     return [
         {
             "Q": e.Q,
@@ -176,5 +176,5 @@ def torus_summary_json(result: TorusScanResult) -> list[dict]:
             "diameter": e.shape.diameter,
             "box_dimension": e.shape.box_dimension,
         }
-        for e in result.entries
+        for e in entries
     ]

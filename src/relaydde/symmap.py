@@ -233,10 +233,6 @@ class FixedPoint:
     def state(self) -> StateVector:
         return StateVector(self.yZstar, (self.Tstar,) * self.nu)
 
-    @property
-    def period(self) -> float:
-        return 2.0 * self.Tstar
-
 
 def _build_fixed_point(nu: int, T: float, p: Parameters, r: Rates) -> FixedPoint:
     z = (nu + 1.0) * T - 1.0
@@ -393,13 +389,6 @@ def state_from_fixed_point(fp: FixedPoint) -> SystemState:
     """
     if not fp.valid.parity:
         raise InvalidState("fixed point does not realize an orbit for this sigma")
-    p = fp.params
     zeros = tuple(-j * fp.Tstar for j in range(fp.nu + 1))
-    cur = -_sign(fp.yZstar + 1.0)
-    return SystemState(
-        t=0.0,
-        v=Headpoint(0.0, fp.yZstar),
-        zeros=zeros,
-        hist_sign=-p.sigma,
-        cur_sign=cur,
-    )
+    return SystemState(t=0.0, v=Headpoint(0.0, fp.yZstar), zeros=zeros,
+                       hist_sign=-fp.params.sigma)

@@ -14,7 +14,7 @@ fraction before classifying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -147,11 +147,6 @@ class TorusScanEntry:
     seed: str
 
 
-@dataclass
-class TorusScanResult:
-    entries: list[TorusScanEntry] = field(default_factory=list)
-
-
 def run_section(
     st: SystemState,
     p: Parameters,
@@ -181,7 +176,7 @@ def torus_scan(
     warm_start: bool = True,
     seed_eps: float = 1e-3,
     settle_events: Optional[int] = None,
-) -> TorusScanResult:
+) -> list[TorusScanEntry]:
     """Per-Omega H-event sections along a scan, warm-starting between values.
 
     The first value seeds from a perturbed fixed point of the ``nu`` map;
@@ -189,7 +184,7 @@ def torus_scan(
     ``warm_start`` is set (the torus transient near its birth is far longer
     than any fixed budget, so cold seeds there converge poorly).
     """
-    result = TorusScanResult()
+    entries: list[TorusScanEntry] = []
     st: Optional[SystemState] = None
     settle = settle_events if settle_events is not None else max_events
     for i, om in enumerate(omegas):
@@ -201,11 +196,11 @@ def torus_scan(
             seed_desc = f"fixed-point eps={seed_eps}"
         budget = settle if i == 0 else max_events
         shape, pts, final, tag = run_section(st, p, budget, transient_fraction)
-        result.entries.append(
+        entries.append(
             TorusScanEntry(Q=Q, Omega=float(om), shape=shape, section=pts, tag=tag, seed=seed_desc)
         )
         st = rebase_state(final) if (final is not None and warm_start) else None
-    return result
+    return entries
 
 
 def follow_path(

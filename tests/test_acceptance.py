@@ -140,7 +140,7 @@ def _seed(s, fp):
         zeros.append(zeros[-1] - T)
     base = state_from_fixed_point(fp)
     return SystemState(t=0.0, v=Headpoint(0.0, s.yZ), zeros=tuple(zeros),
-                       hist_sign=base.hist_sign, cur_sign=base.cur_sign)
+                       hist_sign=base.hist_sign)
 
 
 def test_criterion_4_spectrum_oracle():

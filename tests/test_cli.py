@@ -267,6 +267,14 @@ class TestConfigAndErrors:
         TORUS + ["--omega-max", "0"],
         ["simulate", "--Q", "1.5", "--Omega", "14", "--horizon", "-1"],
         ["simulate", "--Q", "1.5", "--Omega", "14", "--horizon", "nan"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--seed-nu", "3", "--seed-eps", "nan"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--x0", "nan"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--x0", "0"],
+        ["simulate", "--Q", "1.5", "--Omega", "14", "--y0", "inf"],
+        TORUS + ["--transient-frac", "1.5"],
+        TORUS + ["--transient-frac", "nan"],
+        TORUS + ["--transient-frac", "-0.1"],
+        TORUS + ["--seed-eps", "inf"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_argument_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -307,6 +315,15 @@ class TestConfigAndErrors:
         assert rc == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["Omega"] == 10.0
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(missing), "fixedpoint", "--Q", "1.5", "--Omega", "14",
+                  "--nu", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "missing.cfg" in err and "Traceback" not in err
 
     def test_repeat_invocation_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

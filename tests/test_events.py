@@ -10,6 +10,7 @@ import pytest
 from relaydde import events
 from relaydde.errors import CornerCollision
 from relaydde.events import (
+    EventKind,
     OrbitRecord,
     OrbitTag,
     SystemState,
@@ -32,8 +33,7 @@ P_SLOW = Parameters(Q=0.4, Omega=7.0, sigma=-1)    # overdamped, frequency-2 mod
 
 class TestNextDelays:
     def test_h_delay_arithmetic(self):
-        st = SystemState(t=1.0, v=Headpoint(0.5, 0.0), zeros=(0.75,),
-                         hist_sign=1, cur_sign=-1)
+        st = SystemState(t=1.0, v=Headpoint(0.5, 0.0), zeros=(0.75,), hist_sign=1)
         assert next_h_delay(st) == pytest.approx(0.75)
 
     def test_h_delay_empty_history(self):
@@ -41,15 +41,14 @@ class TestNextDelays:
 
     def test_post_crossing_state_returns_half_wave(self):
         r = derive_rates(P_FAST)
-        st = SystemState(t=0.0, v=Headpoint(0.0, -1.8), zeros=(0.0,),
-                         hist_sign=1, cur_sign=-1)
+        st = SystemState(t=0.0, v=Headpoint(0.0, -1.8), zeros=(0.0,), hist_sign=1)
         assert next_z_delay(st, 1, r) == pytest.approx(math.pi / r.omega_abs, rel=1e-14)
 
     def test_node_state_never_crosses(self):
         for p, s in [(P_FAST, 1), (P_SLOW, -1)]:
             r = derive_rates(p)
             st = SystemState(t=0.0, v=Headpoint(0.0, float(s)), zeros=(0.0,),
-                             hist_sign=-1 if s > 0 else 1, cur_sign=1 if s > 0 else -1)
+                             hist_sign=-1 if s > 0 else 1)
             assert next_z_delay(st, s, r) is None
 
     def test_crossing_within_half_wave(self):
@@ -60,8 +59,7 @@ class TestNextDelays:
             if v.x == 0.0:
                 continue
             z = next_z_delay(
-                SystemState(t=0.0, v=v, zeros=(), hist_sign=1 if v.x > 0 else -1,
-                            cur_sign=1 if v.x > 0 else -1),
+                SystemState(t=0.0, v=v, zeros=(), hist_sign=1 if v.x > 0 else -1),
                 -1, r)
             assert z is not None and 0.0 < z <= math.pi / r.omega_abs
             # residual at the root
@@ -72,7 +70,7 @@ class TestNextDelays:
         # underflows to 0; the crossing comes long before it.
         r = derive_rates(Parameters(Q=0.5000000831872895, Omega=25.91716193837304))
         st = SystemState(t=0.0, v=Headpoint(-0.43620484406794624, -0.8605709763144658),
-                         zeros=(), hist_sign=-1, cur_sign=-1)
+                         zeros=(), hist_sign=-1)
         assert r.half_wave > 200.0
         assert next_z_delay(st, 1, r) == pytest.approx(0.004048432098942522, rel=1e-14)
 
@@ -149,11 +147,21 @@ class TestStepBookkeeping:
                 assert dropped in z_times
                 assert ev.time == dropped + 1.0
 
+    def test_events_carry_new_headpoints(self):
+        st0 = perturbed_seed(fixed_point(3, P_FAST), 1e-2)
+        events, states = self.simulate_states(P_FAST, st0, 200)
+        assert [ev.v for ev in events] == [st.v for st in states[1:]]
+        rec = simulate(st0, P_FAST, max_events=200)
+        assert rec.events == events
+        assert rec.h_section(EventKind.H, EventKind.HBAR) == [
+            (st.v.x, st.v.y) for ev, st in zip(events, states[1:]) if ev.kind.is_history
+        ]
+
     def test_step_symmetry(self):
         fp = fixed_point(3, P_FAST)
         st = perturbed_seed(fp, 1e-2)
         neg = SystemState(t=st.t, v=Headpoint(-st.v.x, -st.v.y), zeros=st.zeros,
-                          hist_sign=-st.hist_sign, cur_sign=-st.cur_sign)
+                          hist_sign=-st.hist_sign)
         ev_a, a = step(st, P_FAST)
         ev_b, b = step(neg, P_FAST)
         assert ev_b.time == ev_a.time
@@ -166,8 +174,7 @@ class TestStepBookkeeping:
         # the H event lands within the tie tolerance of it.
         z = math.pi / r.omega_abs
         tau_old = z - 1.0 + 2e-11
-        st = SystemState(t=0.0, v=Headpoint(0.0, -1.8), zeros=(0.0, tau_old),
-                         hist_sign=-1, cur_sign=-1)
+        st = SystemState(t=0.0, v=Headpoint(0.0, -1.8), zeros=(0.0, tau_old), hist_sign=-1)
         with pytest.raises(CornerCollision):
             step(st, P_FAST, r)
 
@@ -297,13 +304,13 @@ def _sample_segment_loop(rec, st, t_end, s, r, dt):
         rec.samples.append((st.t + tau, hp.x, hp.y))
 
 
-def _assert_samples_match(got, want, tol=1e-15):
+def _assert_samples_match(got, want):
     # Same rows and bit-identical times; x and y may move by the last ulp of
-    # the vectorised exp/cos/sin.
+    # the vectorised exp/expm1/cos/sin.
     assert len(got) == len(want) > 0
     assert [row[0] for row in got] == [row[0] for row in want]
     for (_, x, y), (_, xr, yr) in zip(got, want):
-        assert abs(x - xr) <= tol and abs(y - yr) <= tol
+        assert abs(x - xr) <= 1e-15 and abs(y - yr) <= 1e-15
 
 
 class TestDenseSamplingOracle:
@@ -330,16 +337,12 @@ class TestDenseSamplingOracle:
         # The first several sample times sit below the series threshold.
         assert abs(r.omega2) * (5 * dt) ** 2 < SERIES_THRESHOLD
         assert abs(r.omega2) * 0.5 ** 2 > SERIES_THRESHOLD
-        # Overdamped, e^{-mu t} sinh(w t)/w is 0.5 (e^{(w-mu)t} - e^{-(w+mu)t}) / w,
-        # which cancels for small w t: a one-ulp change of either exponential
-        # moves it by about eps / w, and the flow multiplies that by up to 4 mu.
-        tol = 1e-15 if Q > 0.5 else 4.0 * r.mu * np.finfo(float).eps / r.omega_abs
-        st = SystemState(t=0.25, v=Headpoint(0.3, -0.2), zeros=(), hist_sign=1, cur_sign=1)
+        st = SystemState(t=0.25, v=Headpoint(0.3, -0.2), zeros=(), hist_sign=1)
         for s in (1, -1):
             got, want = OrbitRecord(params=p), OrbitRecord(params=p)
             events._sample_segment(got, st, 0.75, s, r, dt)
             _sample_segment_loop(want, st, 0.75, s, r, dt)
-            _assert_samples_match(got.samples, want.samples, tol)
+            _assert_samples_match(got.samples, want.samples)
 
     def test_long_overdamped_segment_stays_finite(self):
         p = Parameters(Q=0.1, Omega=100.0, sigma=-1)
@@ -347,7 +350,7 @@ class TestDenseSamplingOracle:
         t_len = 3.0
         with pytest.raises(OverflowError):
             math.cosh(r.omega_abs * t_len)  # the unsplit form would overflow
-        st = SystemState(t=1.0, v=Headpoint(0.5, 0.1), zeros=(), hist_sign=1, cur_sign=1)
+        st = SystemState(t=1.0, v=Headpoint(0.5, 0.1), zeros=(), hist_sign=1)
         got, want = OrbitRecord(params=p), OrbitRecord(params=p)
         events._sample_segment(got, st, st.t + t_len, -1, r, 0.01)
         _sample_segment_loop(want, st, st.t + t_len, -1, r, 0.01)
@@ -358,7 +361,7 @@ class TestDenseSamplingOracle:
         # t_end lands exactly on a sample time: that sample belongs to the
         # next segment, as in the per-sample loop.
         r = derive_rates(P_FAST)
-        st = SystemState(t=0.0, v=Headpoint(0.5, 0.0), zeros=(), hist_sign=1, cur_sign=1)
+        st = SystemState(t=0.0, v=Headpoint(0.5, 0.0), zeros=(), hist_sign=1)
         got, want = OrbitRecord(params=P_FAST), OrbitRecord(params=P_FAST)
         events._sample_segment(got, st, 0.5, -1, r, 0.125)
         _sample_segment_loop(want, st, 0.5, -1, r, 0.125)

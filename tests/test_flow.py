@@ -1,6 +1,7 @@
 """Constant-feedback flow: rates, regime-spanning trig, closed-form solution."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,15 +16,17 @@ from relaydde.flow import (
     apply_flow_array,
     decayed_gcos_gsinc,
     decayed_gcos_gsinc_array,
-    derivative,
     first_crossing,
-    flow_matrix,
-    flow_offset,
     flow_x,
     gcos,
     gsinc,
 )
 from relaydde.params import Parameters, Regime, derive_rates
+
+
+def frozen_rhs(x, y, s, r):
+    """Right-hand side of the frozen-feedback ODE at (x, y)."""
+    return 2.0 * r.mu * (-x - y + s), r.omega_sq_plus_mu_sq / (2.0 * r.mu) * x
 
 
 def rk4_frozen(v, s, r, t_end, n_steps=20000):
@@ -32,7 +35,7 @@ def rk4_frozen(v, s, r, t_end, n_steps=20000):
     x, y = v.x, v.y
 
     def f(x, y):
-        return 2.0 * r.mu * (-x - y + s), r.omega_sq_plus_mu_sq / (2.0 * r.mu) * x
+        return frozen_rhs(x, y, s, r)
 
     for _ in range(n_steps):
         k1 = f(x, y)
@@ -42,6 +45,15 @@ def rk4_frozen(v, s, r, t_end, n_steps=20000):
         x += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         y += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     return Headpoint(x, y)
+
+
+def flow_affine(t, r):
+    """(A(t), b(t)) of v(t) = A(t) v + s b(t), read off the production apply_flow."""
+    b = apply_flow(t, Headpoint(0.0, 0.0), 1, r)
+    c1 = apply_flow(t, Headpoint(1.0, 0.0), 1, r)
+    c2 = apply_flow(t, Headpoint(0.0, 1.0), 1, r)
+    A = np.array([[c1.x - b.x, c2.x - b.x], [c1.y - b.y, c2.y - b.y]])
+    return A, np.array([b.x, b.y])
 
 
 class TestDeriveRates:
@@ -67,6 +79,15 @@ class TestDeriveRates:
         for Q, Om in [(0.3, 5.0), (0.5, 2.0), (1.7, 11.0)]:
             r = derive_rates(Parameters(Q=Q, Omega=Om))
             assert r.omega_sq_plus_mu_sq == pytest.approx(Om * Om, rel=1e-14)
+
+    @pytest.mark.parametrize("Q", [0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-6, 0.5 + 1e-6, 0.45])
+    @pytest.mark.parametrize("Omega", [1.0, 7.3, 25.9])
+    def test_omega2_near_critical_matches_exact(self, Q, Omega):
+        # Exact rational Omega^2 (4Q^2 - 1) / (4Q^2) of the float inputs.
+        q, om = Fraction(Q), Fraction(Omega)
+        exact = om * om * (4 * q * q - 1) / (4 * q * q)
+        got = Fraction(derive_rates(Parameters(Q=Q, Omega=Omega)).omega2)
+        assert abs(got - exact) <= 4 * EPS * abs(exact)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -171,22 +192,24 @@ class TestFlowMatrix:
     def test_identity_at_zero(self):
         for Q in (0.3, 1.5):
             r = derive_rates(Parameters(Q=Q, Omega=5.0))
-            np.testing.assert_allclose(flow_matrix(0.0, r), np.eye(2), atol=1e-15)
-            np.testing.assert_allclose(flow_offset(0.0, r), np.zeros(2), atol=1e-15)
+            A, b = flow_affine(0.0, r)
+            np.testing.assert_allclose(A, np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(b, np.zeros(2), atol=1e-15)
 
     def test_determinant_is_wronskian(self):
         for Q, Om in [(1.5, 14.0), (0.4, 7.0)]:
             r = derive_rates(Parameters(Q=Q, Omega=Om))
             for t in (0.1, 0.5, 1.0):
                 expected = math.exp(-2.0 * r.mu * t)
-                assert np.linalg.det(flow_matrix(t, r)) == pytest.approx(expected, abs=1e-12 * max(1, expected))
+                det = np.linalg.det(flow_affine(t, r)[0])
+                assert det == pytest.approx(expected, abs=1e-12 * max(1, expected))
 
     def test_semigroup(self):
         for Q, Om in [(1.5, 14.0), (0.4, 7.0), (0.5, 3.0)]:
             r = derive_rates(Parameters(Q=Q, Omega=Om))
             for t1, t2 in [(0.1, 0.2), (0.05, 0.6)]:
-                lhs = flow_matrix(t1 + t2, r)
-                rhs = flow_matrix(t1, r) @ flow_matrix(t2, r)
+                lhs = flow_affine(t1 + t2, r)[0]
+                rhs = flow_affine(t1, r)[0] @ flow_affine(t2, r)[0]
                 np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
@@ -229,7 +252,7 @@ class TestApplyFlow:
             mid = apply_flow(t, v, s, r)
             dx_fd = (fwd.x - bwd.x) / (2 * h)
             dy_fd = (fwd.y - bwd.y) / (2 * h)
-            dx, dy = derivative(mid, s, r)
+            dx, dy = frozen_rhs(mid.x, mid.y, s, r)
             scale = max(1.0, abs(dx), abs(dy)) * r.mu
             assert abs(dx_fd - dx) < 1e-7 * scale
             assert abs(dy_fd - dy) < 1e-7 * scale
@@ -248,7 +271,7 @@ class TestApplyFlow:
             r = derive_rates(Parameters(Q=Q, Omega=Om))
             # spectral radius of A(t) decays once mu t is a few units
             for t in (2.0, 5.0):
-                rad = max(abs(np.linalg.eigvals(flow_matrix(t, r))))
+                rad = max(abs(np.linalg.eigvals(flow_affine(t, r)[0])))
                 assert rad < 1.0
             out = apply_flow(50.0 / r.mu, Headpoint(0.8, 0.9), -1, r)
             assert abs(out.x) < 1e-8 and abs(out.y + 1.0) < 1e-8
@@ -320,9 +343,7 @@ class TestFirstCrossing:
         if t is None or t > ORACLE_HORIZON:
             assert oracle is None
         else:
-            # Within 1e-6 of Q = 1/2 the oracle's flow_x carries an error of
-            # about eps/|omega| (overdamped sinh difference); the closed form
-            # stays at a few ulps of the exact root.
+            # The closed form stays at a few ulps of the exact root.
             assert oracle == pytest.approx(t, rel=1e-10)
 
     @settings(max_examples=200, deadline=None)
@@ -337,7 +358,7 @@ class TestFirstCrossing:
         assume(abs(x) > NODE_TOLERANCE or abs(y - s) > NODE_TOLERANCE)
         r = derive_rates(Parameters(Q=Q, Omega=Omega))
         sign = 1 if x > 0.0 else -1
-        st_ = SystemState(t=0.0, v=Headpoint(x, y), zeros=(), hist_sign=sign, cur_sign=sign)
+        st_ = SystemState(t=0.0, v=Headpoint(x, y), zeros=(), hist_sign=sign)
         z = next_z_delay(st_, s, r)
         t = first_crossing(x, r.mu * x + 2.0 * r.mu * (y - s), r)
         assert abs(z - t) <= 1e-14 + 1e-15 * t

@@ -22,6 +22,7 @@ from relaydde.symmap import (
     char_roots,
     delta_of,
     fixed_point,
+    fixed_point_candidates,
     jacobian_coeffs,
     jacobian_matrix,
     map_M,
@@ -158,7 +159,7 @@ def _seed_from_state(s, fp):
         zeros.append(zeros[-1] - T)
     base = state_from_fixed_point(fp)
     return SystemState(t=0.0, v=Headpoint(0.0, s.yZ), zeros=tuple(zeros),
-                       hist_sign=base.hist_sign, cur_sign=base.cur_sign)
+                       hist_sign=base.hist_sign)
 
 
 class TestTStar:
@@ -381,6 +382,22 @@ class TestFixedPointValidity:
             assert a[0] == pytest.approx(-b[0], abs=1e-9)
             assert a[1] == pytest.approx(-b[1], abs=1e-9)
 
+    def test_seeded_sign_is_crossing_direction(self):
+        # The simulator derives the sign of x from hist_sign and the number
+        # of stored crossings.  On a parity-valid fixed point that must be
+        # the direction of the crossing after the switch, -sign(y* + 1).
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(300):
+            p = Parameters(Q=float(rng.uniform(0.15, 2.8)), Omega=float(rng.uniform(1.0, 30.0)),
+                           sigma=int(rng.choice([-1, 1])))
+            for fp in fixed_point_candidates(int(rng.integers(0, 9)), p):
+                if fp.valid.parity:
+                    want = -1 if fp.yZstar + 1.0 > 0.0 else 1
+                    assert state_from_fixed_point(fp).cur_sign == want
+                    checked += 1
+        assert checked >= 400
+
     def test_sigma_selection_distinguishes_roots(self):
         # Two window-valid roots coexist here; the parity flag picks the one
         # whose crossing directions realize the requested feedback sign.
@@ -500,9 +517,7 @@ class TestXH:
                       (Parameters(Q=1.5, Omega=11.0, sigma=-1), 3)]:
             fp = fixed_point(nu, p)
             rec = simulate(state_from_fixed_point(fp), p, max_events=8)
-            first_h = next(
-                (hp for e, hp in zip(rec.events, rec.headpoints) if e.kind.is_history)
-            )
+            first_h = next(e.v for e in rec.events if e.kind.is_history)
             assert abs(abs(first_h.x) - abs(x_H(fp))) <= 1e-9
 
     def test_delay_extension_of_t_star(self):

@@ -59,20 +59,20 @@ class TestClassifySection:
 class TestTorusScan:
     def test_closed_curve_just_past_bifurcation(self):
         # warm chain through the supercritical Neimark-Sacker point
-        result = torus_scan(1.5, [14.80, 14.82], sigma=-1, nu=3,
-                            max_events=30000, transient_fraction=0.5,
-                            settle_events=50000)
-        assert result.entries[-1].tag == "closed-curve"
+        entries = torus_scan(1.5, [14.80, 14.82], sigma=-1, nu=3,
+                             max_events=30000, transient_fraction=0.5,
+                             settle_events=50000)
+        assert entries[-1].tag == "closed-curve"
 
     def test_periodic_cluster_below_bifurcation(self):
-        result = torus_scan(1.5, [14.5], sigma=-1, nu=3, max_events=6000,
-                            transient_fraction=0.5)
-        assert result.entries[0].tag == "cluster"
+        entries = torus_scan(1.5, [14.5], sigma=-1, nu=3, max_events=6000,
+                             transient_fraction=0.5)
+        assert entries[0].tag == "cluster"
 
     def test_no_torus_well_past_window(self):
-        result = torus_scan(1.5, [14.90], sigma=-1, nu=3, max_events=30000,
-                            transient_fraction=0.5)
-        assert result.entries[0].tag != "closed-curve"
+        entries = torus_scan(1.5, [14.90], sigma=-1, nu=3, max_events=30000,
+                             transient_fraction=0.5)
+        assert entries[0].tag != "closed-curve"
 
     def test_run_section_nonoscillatory_tag(self):
         p = Parameters(Q=0.4, Omega=7.0, sigma=1)
