@@ -24,6 +24,7 @@ import numpy as np
 from .errors import Degenerate, LostBranch, NoRoot
 from .flow import decayed_gcos_gsinc
 from .params import Parameters, Regime, derive_rates
+from .rootfind import brentq
 from .symmap import (
     FixedPoint,
     Spectrum,
@@ -34,9 +35,8 @@ from .symmap import (
     x_H,
 )
 
-NS_OMEGA_TOL = 1e-10
+LOCUS_OMEGA_TOL = 1e-10
 NS_EQ_TOL = 1e-7
-PF_OMEGA_TOL = 1e-10
 DEFAULT_LOCUS_SAMPLES = 600
 
 
@@ -91,44 +91,49 @@ class BifurcationPoint:
     residuals: tuple[float, ...] = ()
 
 
-def _max_complex_modulus(sp: Spectrum) -> Optional[float]:
+def _max_complex_modulus(sp: Spectrum) -> float:
     mods = [abs(z) for z in sp.roots if abs(z.imag) > 1e-9 * max(1.0, abs(z))]
-    return max(mods) if mods else None
+    if not mods:
+        raise NoRoot("no complex characteristic root pair")
+    return max(mods)
 
 
 def _complex_pair_angle(sp: Spectrum) -> float:
-    best = max(
-        (z for z in sp.roots if z.imag > 0.0),
-        key=lambda z: abs(z),
-    )
+    best = max((z for z in sp.roots if z.imag > 0.0), key=abs)
     return math.atan2(best.imag, best.real)
 
 
-def _bisect_crossings(f, omegas, tol):
-    """Bisect each sign change of f between samples down to tol; yield (omega, *f(omega)).
+def _refine_crossings(f, omega_range, samples):
+    """Sign changes of f on a uniform Omega scan, each refined by Brent's
+    method to LOCUS_OMEGA_TOL; yields (omega, *f(omega)).
 
-    f(omega) is (value, fixed point), or None where undefined, which ends a
-    bisection early and drops a result.
+    f(omega) is (value, fixed point) and raises NoRoot or Degenerate where
+    the fixed point is undefined: such a sample bounds no bracket, and such
+    a Brent iterate drops its crossing.  Each omega is solved once.
     """
-    vals = [f(om) for om in omegas]
+    omegas = np.linspace(omega_range[0], omega_range[1], samples)
+    seen = {}
+
+    def value(om):
+        if om not in seen:
+            seen[om] = f(om)
+        return seen[om][0]
+
+    vals = []
+    for om in omegas:
+        try:
+            vals.append(value(float(om)))
+        except (NoRoot, Degenerate):
+            vals.append(None)
     for i in range(len(omegas) - 1):
         a, b = vals[i], vals[i + 1]
-        if a is None or b is None or a[0] == 0.0 or (a[0] > 0.0) == (b[0] > 0.0):
+        if a is None or b is None or a == 0.0 or (a > 0.0) == (b > 0.0):
             continue
-        lo, hi, flo = omegas[i], omegas[i + 1], a[0]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            got = f(mid)
-            if got is None:
-                break
-            if (flo > 0.0) == (got[0] > 0.0):
-                lo, flo = mid, got[0]
-            else:
-                hi = mid
-        om_star = 0.5 * (lo + hi)
-        got = f(om_star)
-        if got is not None:
-            yield om_star, *got
+        try:
+            om_star = brentq(value, omegas[i], omegas[i + 1], xtol=LOCUS_OMEGA_TOL)
+        except (NoRoot, Degenerate):
+            continue
+        yield om_star, *seen[om_star]
 
 
 def ns_locus(
@@ -140,7 +145,7 @@ def ns_locus(
 ) -> list[BifurcationPoint]:
     """Neimark-Sacker points of the nu fixed-point branch on an Omega range.
 
-    Scans the largest complex-pair modulus along Omega, bisects each
+    Scans the largest complex-pair modulus along Omega, refines each
     crossing of one, and verifies the crossing angle against the separated
     real/imaginary unit-circle equations.
     """
@@ -148,25 +153,16 @@ def ns_locus(
         return []  # the scalar slow-mode map has a single real root
 
     def modulus_gap(omega):
-        try:
-            fp = fixed_point(nu, Parameters(Q=Q, Omega=omega, sigma=sigma))
-            m = _max_complex_modulus(spectrum_of(fp))
-        except (NoRoot, Degenerate):
-            return None
-        return None if m is None else (m - 1.0, fp)
+        fp = fixed_point(nu, Parameters(Q=Q, Omega=omega, sigma=sigma))
+        return _max_complex_modulus(spectrum_of(fp)) - 1.0, fp
 
-    omegas = np.linspace(omega_range[0], omega_range[1], samples)
     points = []
-    for om_star, _, fp in _bisect_crossings(modulus_gap, omegas, NS_OMEGA_TOL):
+    for om_star, _, fp in _refine_crossings(modulus_gap, omega_range, samples):
         phi = _complex_pair_angle(spectrum_of(fp))
         re, im = ns_equations(ns_coeffs(fp), nu, phi)
-        if max(abs(re), abs(im)) > NS_EQ_TOL:
-            continue
-        points.append(
-            BifurcationPoint(
-                kind="NS", Q=Q, Omega=om_star, nu=nu, phi=phi, residuals=(re, im)
-            )
-        )
+        if max(abs(re), abs(im)) <= NS_EQ_TOL:
+            points.append(BifurcationPoint(kind="NS", Q=Q, Omega=om_star, nu=nu, phi=phi,
+                                           residuals=(re, im)))
     return points
 
 
@@ -187,22 +183,16 @@ def pitchfork_locus(
     sigma = -1
 
     def pf_value(omega):
-        try:
-            fp = fixed_point(nu, Parameters(Q=Q, Omega=omega, sigma=sigma))
-            jc = jacobian_coeffs(fp)
-        except (NoRoot, Degenerate):
-            return None
+        fp = fixed_point(nu, Parameters(Q=Q, Omega=omega, sigma=sigma))
+        jc = jacobian_coeffs(fp)
         return (1.0 + jc.d) + jc.exp_2muT, fp
 
-    omegas = np.linspace(omega_range[0], omega_range[1], samples)
     points = []
-    for om_star, g, fp in _bisect_crossings(pf_value, omegas, PF_OMEGA_TOL):
+    for om_star, g, fp in _refine_crossings(pf_value, omega_range, samples):
         r = derive_rates(fp.params)
         if r.regime is Regime.UNDERDAMPED and r.omega_abs * fp.Tstar <= math.pi:
             continue  # bound on d excludes a -1 root here
-        points.append(
-            BifurcationPoint(kind="PF", Q=Q, Omega=om_star, nu=nu, residuals=(g,))
-        )
+        points.append(BifurcationPoint(kind="PF", Q=Q, Omega=om_star, nu=nu, residuals=(g,)))
     return points
 
 
@@ -329,13 +319,10 @@ def _region_cell(args):
         for i, nu in enumerate(nus):
             try:
                 fp = fixed_point(nu, p)
-            except NoRoot:
-                continue
-            if not fp.valid.all:
-                continue
-            try:
+                if not fp.valid.all:
+                    continue
                 sp = spectrum_of(fp)
-            except Degenerate:
+            except (NoRoot, Degenerate):
                 continue
             exists[i, j] = True
             counts[i, j] = sp.unstable_count
@@ -422,13 +409,15 @@ class ModeBranch:
 
 
 def _branch_sample(nu, p, T_hint=None) -> Optional[tuple[BranchSample, FixedPoint]]:
-    cands = fixed_point_candidates(nu, p)
-    if not cands:
-        return None
-    if T_hint is not None:
-        fp = min(cands, key=lambda f: abs(f.Tstar - T_hint))
+    if T_hint is None:
+        try:
+            fp = fixed_point(nu, p)
+        except NoRoot:
+            return None
     else:
-        fp = next((f for f in cands if f.valid.all), cands[0])
+        fp = min(fixed_point_candidates(nu, p), key=lambda f: abs(f.Tstar - T_hint), default=None)
+        if fp is None:
+            return None
     try:
         sp = spectrum_of(fp)
         count = sp.unstable_count

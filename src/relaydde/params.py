@@ -78,13 +78,15 @@ def derive_rates(p: Parameters) -> Rates:
 
     The regime is classified with an exact comparison of Q against 1/2 so
     that the critically damped case is first class rather than a numerical
-    accident.
+    accident.  ValueError when a rate overflows, or omega underflows to 0
+    off the critical point (Q or Omega near the float limits).
     """
     mu = p.Omega / (2.0 * p.Q)
     # (2Q - 1)(2Q + 1), not 4Q^2 - 1: near Q = 1/2 the rounding of 4Q^2
     # would dominate the difference, while 2Q - 1 is exact there.
     two_q = 2.0 * p.Q
-    omega2 = p.Omega * p.Omega * ((two_q - 1.0) * (two_q + 1.0)) / (two_q * two_q)
+    four_q2 = two_q * two_q  # underflows to 0 for Q below about 1e-162
+    omega2 = p.Omega * p.Omega * ((two_q - 1.0) * (two_q + 1.0)) / four_q2 if four_q2 else -math.inf
     if p.Q > 0.5:
         regime = Regime.UNDERDAMPED
     elif p.Q < 0.5:
@@ -92,4 +94,7 @@ def derive_rates(p: Parameters) -> Rates:
     else:
         regime = Regime.CRITICAL
         omega2 = 0.0
+    if not (math.isfinite(mu) and math.isfinite(omega2) and (omega2 != 0.0 or p.Q == 0.5)):
+        raise ValueError(f"Q={p.Q}, Omega={p.Omega}: damping rates mu={mu}, "
+                         f"omega^2={omega2} are outside floating-point range")
     return Rates(mu=mu, omega2=omega2, regime=regime, omega_abs=math.sqrt(abs(omega2)))

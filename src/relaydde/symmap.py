@@ -29,6 +29,7 @@ from .rootfind import brentq
 
 T_STAR_GRID = 512
 T_STAR_POINTS_PER_HALF_WAVE = 16
+T_STAR_GRID_MAX = 2**20  # first-pass points; the 8x retry stays under 8.4M
 T_STAR_XTOL = 1e-14
 SLOW_BRACKET_SPAN = 20.0  # nu = 0 bracket is (1, 1 + SLOW_BRACKET_SPAN / mu)
 
@@ -146,8 +147,9 @@ def t_star_candidates(nu: int, p: Parameters) -> list[float]:
     Scans a uniform grid for sign changes and refines each by Brent's
     method; near-edge probes catch roots approaching the bracket boundary
     (the corner-collision limits).  Underdamped, the grid is sized so fast
-    oscillation cannot alias.  One 8x grid refinement resolves
-    tangency-grade cases before giving up.
+    oscillation cannot alias; ValueError, before any allocation, when that
+    needs more than T_STAR_GRID_MAX points.  One 8x grid refinement
+    resolves tangency-grade cases before giving up.
     """
     if nu < 0:
         raise ValueError("nu must be non-negative")
@@ -155,8 +157,11 @@ def t_star_candidates(nu: int, p: Parameters) -> list[float]:
     lo, hi = t_star_bracket(nu, r)
     grid = T_STAR_GRID
     if r.regime is Regime.UNDERDAMPED:  # fastest residual component: sin((nu+1) omega T)
-        half_waves = math.ceil((nu + 1.0) * r.omega_abs * (hi - lo) / math.pi)
-        grid = max(grid, T_STAR_POINTS_PER_HALF_WAVE * half_waves)
+        half_waves = (nu + 1.0) * r.omega_abs * (hi - lo) / math.pi
+        if T_STAR_POINTS_PER_HALF_WAVE * half_waves > T_STAR_GRID_MAX:
+            raise ValueError(f"nu={nu} at Q={p.Q}, Omega={p.Omega} needs a T* grid of "
+                             f"over {T_STAR_GRID_MAX} points")
+        grid = max(grid, T_STAR_POINTS_PER_HALF_WAVE * math.ceil(half_waves))
     for n in (grid, 8 * grid):
         roots = _scan_roots(nu, r, lo, hi, n)
         if roots:

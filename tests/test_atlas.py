@@ -21,9 +21,32 @@ from relaydde.atlas import (
     pitchfork_locus,
     region_scan,
 )
+from relaydde.errors import Degenerate, NoRoot
 from relaydde.flow import decayed_gcos_gsinc
 from relaydde.params import Parameters, derive_rates
-from relaydde.symmap import fixed_point, jacobian_coeffs, spectrum_of
+from relaydde.symmap import Spectrum, fixed_point, jacobian_coeffs, spectrum_of
+
+
+def _bisect_reference(g, lo, hi, tol=1e-14):
+    """Tight root of g on [lo, hi] by plain bisection, independent of the locus code."""
+    g_lo = g(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (g(mid) > 0.0) == (g_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _modulus_gap(nu, om):
+    sp = spectrum_of(fixed_point(nu, Parameters(Q=1.5, Omega=om, sigma=-1)))
+    return max(abs(z) for z in sp.roots if abs(z.imag) > 1e-9) - 1.0
+
+
+def _pf_value(om):
+    jc = jacobian_coeffs(fixed_point(3, Parameters(Q=1.5, Omega=om, sigma=-1)))
+    return 1.0 + jc.d + jc.exp_2muT
 
 
 class TestNSCoefficients:
@@ -65,6 +88,39 @@ class TestNSLocus:
             pair = max((z for z in sp.roots if abs(z.imag) > 1e-9), key=abs)
             assert abs(abs(pair) - 1.0) <= 1e-9
 
+    def test_paper_points_within_tolerance_of_tight_reference(self):
+        pts = mode_ns_points(3, 1.5, (2.0, 20.0), sigma=-1)
+        assert [pt.nu for pt in pts] == [2, 3]
+        for pt in pts:
+            ref = _bisect_reference(lambda om: _modulus_gap(pt.nu, om),
+                                    pt.Omega - 1e-3, pt.Omega + 1e-3)
+            assert abs(pt.Omega - ref) <= 1e-10
+
+    @pytest.mark.parametrize("error", [NoRoot, Degenerate])
+    def test_undefined_fixed_point_near_a_crossing_drops_it(self, error, monkeypatch):
+        # Undefined within 1e-4 of the lower NS point, where the refinement
+        # must evaluate, yet defined at every scan sample.
+        low, high = (pt.Omega for pt in mode_ns_points(3, 1.5, (2.0, 20.0), sigma=-1))
+
+        def patched(nu, p):
+            if abs(p.Omega - low) < 1e-4:
+                raise error("undefined here")
+            return fixed_point(nu, p)
+
+        monkeypatch.setattr(atlas, "fixed_point", patched)
+        assert [pt.Omega for pt in mode_ns_points(3, 1.5, (2.0, 20.0), sigma=-1)] == [high]
+
+    def test_crossing_without_complex_pair_is_dropped(self, monkeypatch):
+        low, high = (pt.Omega for pt in mode_ns_points(3, 1.5, (2.0, 20.0), sigma=-1))
+
+        def patched(fp):
+            if abs(fp.params.Omega - high) < 1e-4:
+                return Spectrum(roots=np.array([0.5 + 0.0j]), unstable_count=0)
+            return spectrum_of(fp)
+
+        monkeypatch.setattr(atlas, "spectrum_of", patched)
+        assert [pt.Omega for pt in mode_ns_points(3, 1.5, (2.0, 20.0), sigma=-1)] == [low]
+
     def test_slow_mode_has_no_ns(self):
         assert ns_locus(0, 0.45, (1.0, 30.0), sigma=-1) == []
 
@@ -89,6 +145,22 @@ class TestPitchfork:
         fp = fixed_point(3, Parameters(Q=1.5, Omega=pts[0].Omega, sigma=-1))
         sp = spectrum_of(fp)
         assert min(abs(z + 1.0) for z in sp.roots) <= 1e-7
+
+    def test_paper_point_within_tolerance_of_tight_reference(self):
+        (pt,) = pitchfork_locus(3, 1.5, (10.0, 23.3))
+        ref = _bisect_reference(_pf_value, pt.Omega - 1e-3, pt.Omega + 1e-3)
+        assert abs(pt.Omega - ref) <= 1e-10
+
+    def test_undefined_fixed_point_near_the_crossing_drops_it(self, monkeypatch):
+        (pt,) = pitchfork_locus(3, 1.5, (10.0, 23.3))
+
+        def patched(nu, p):
+            if abs(p.Omega - pt.Omega) < 1e-4:
+                raise NoRoot("undefined here")
+            return fixed_point(nu, p)
+
+        monkeypatch.setattr(atlas, "fixed_point", patched)
+        assert pitchfork_locus(3, 1.5, (10.0, 23.3)) == []
 
     def test_requires_omega_t_above_pi(self):
         pts = pitchfork_locus(3, 1.5, (10.0, 23.3))

@@ -97,6 +97,22 @@ class TestFixedpointSpectrum:
         assert err["error"] == "NoConvergence"
         assert "after 1 iterations" in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["fixedpoint", "--Q", "1e-300", "--Omega", "1", "--nu", "0"],
+        ["fixedpoint", "--Q", "1.5", "--Omega", "1e-300", "--nu", "0"],
+        ["simulate", "--Q", "1.5", "--Omega", "1e-300", "--events", "10"],
+        ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "1e300",
+         "--omega-max", "1.7e308", "--samples", "3"],
+        ["fixedpoint", "--Q", "1.5", "--Omega", "1e9", "--nu", "1"],
+    ])
+    def test_out_of_range_point_is_a_json_error(self, argv, monkeypatch, capsys):
+        # A lowered grid cap: no argv here may make a full-size T* grid.
+        monkeypatch.setattr(symmap, "T_STAR_GRID_MAX", 4096)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ValueError"
+
 
 class TestLocus:
     def test_ns_mode_points(self, capsys):

@@ -1,6 +1,7 @@
 """Constant-feedback flow: rates, regime-spanning trig, closed-form solution."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,21 @@ class TestDeriveRates:
         exact = om * om * (4 * q * q - 1) / (4 * q * q)
         got = Fraction(derive_rates(Parameters(Q=Q, Omega=Omega)).omega2)
         assert abs(got - exact) <= 4 * EPS * abs(exact)
+
+    @pytest.mark.parametrize("Q, Omega", [
+        (1e-300, 1.0),   # (2Q)^2 underflows: omega^2 = -inf
+        (1.5, 1e-300),   # omega^2 underflows to 0 while underdamped
+        (0.4, 1e-300),   # ... and while overdamped
+        (1.5, 1e300),    # Omega^2 overflows
+        (1e-10, 1e300),  # mu overflows
+    ])
+    def test_rates_outside_float_range_raise(self, Q, Omega):
+        with pytest.raises(ValueError, match=re.escape(f"Q={Q}, Omega={Omega}")):
+            derive_rates(Parameters(Q=Q, Omega=Omega))
+
+    def test_tiny_omega_at_the_critical_point_is_valid(self):
+        r = derive_rates(Parameters(Q=0.5, Omega=1e-300))
+        assert r.omega2 == 0.0 and r.regime is Regime.CRITICAL
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

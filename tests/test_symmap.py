@@ -290,6 +290,13 @@ class TestScanOracle:
         assert len(_assert_scan_matches_reference(1, r, T_STAR_GRID)) == 1
         assert len(t_star_candidates(1, p)) >= 1000
 
+    def test_grid_cap_raises_before_scanning(self, monkeypatch):
+        # (5, 3243, 1) needs 16,448 points, over a cap lowered to 4,096.
+        monkeypatch.setattr(symmap, "T_STAR_GRID_MAX", 4096)
+        monkeypatch.setattr(symmap, "_scan_roots", lambda *a: pytest.fail("scanned past the cap"))
+        with pytest.raises(ValueError, match="T\\* grid of over 4096 points"):
+            t_star_candidates(1, Parameters(Q=5.0, Omega=3243.0))
+
     @pytest.mark.parametrize("Q", [0.55, 1.0, 1.5, 2.0, 2.55])
     def test_paper_range_keeps_the_fixed_grid(self, Q):
         for Omega in (1.0, 8.0, 14.0, 20.0, 30.0, 41.0):
