@@ -8,8 +8,10 @@ curves are explicit in the parameter plane.
 
 A "mode" is one periodic solution family followed across parameters.  In
 the underdamped regime a mode passes through a type-1 corner where its
-frequency label increments by one; bookkeeping for that relabeling lives in
-``mode_segments`` / ``mode_trace``.
+frequency label increments by one, and it ends at a type-2 corner.
+``mode_segments`` is the one reader of a mode's Omega range: it takes the
+range in either direction and cuts it into the mode's ascending pieces,
+which the loci, ``mode_trace`` and the period diagram all consume.
 """
 
 from __future__ import annotations
@@ -235,17 +237,19 @@ def mode_base(nu: int, sigma: int) -> int:
 def mode_segments(
     nu0: int, Q: float, omega_range: tuple[float, float]
 ) -> list[tuple[int, tuple[float, float]]]:
-    """Split an Omega range into (map-nu, subrange) pieces for one mode."""
-    lo, hi = omega_range
+    """Split an Omega range into ascending (map-nu, (lo, hi)) pieces of one mode.
+
+    The one reader of a mode's range: the range may run either way, every
+    piece has lo < hi, and no piece passes the type-2 corner, so a range of
+    zero width or wholly past the mode's end gives no piece.
+    """
+    lo, hi = sorted(omega_range)
     if Q <= 0.5:
-        return [(nu0, (lo, hi))]
-    relabel, end = mode_corners(nu0, Q)
-    segments = []
-    if lo < min(relabel, hi):
-        segments.append((nu0, (lo, min(relabel, hi))))
-    if hi > relabel:
-        segments.append((nu0 + 1, (max(lo, relabel), min(hi, end))))
-    return segments
+        pieces = [(nu0, (lo, hi))]
+    else:
+        relabel, end = mode_corners(nu0, Q)
+        pieces = [(nu0, (lo, min(relabel, hi))), (nu0 + 1, (max(lo, relabel), min(hi, end)))]
+    return [(nu, (a, b)) for nu, (a, b) in pieces if a < b]
 
 
 def _mode_points(locus, nu, Q, omega_range, sigma, samples):
@@ -254,12 +258,11 @@ def _mode_points(locus, nu, Q, omega_range, sigma, samples):
     Each segment gets a share of the samples proportional to its length,
     and at least 32.
     """
+    width = abs(omega_range[1] - omega_range[0])
     points = []
-    for seg_nu, rng in mode_segments(mode_base(nu, sigma), Q, omega_range):
-        if rng[1] - rng[0] <= 0:
-            continue
-        n = max(32, int(samples * (rng[1] - rng[0]) / (omega_range[1] - omega_range[0])))
-        points.extend(locus(seg_nu, rng, n))
+    for seg_nu, (lo, hi) in mode_segments(mode_base(nu, sigma), Q, omega_range):
+        n = max(32, int(samples * ((hi - lo) / width)))
+        points.extend(locus(seg_nu, (lo, hi), n))
     return sorted(points, key=lambda b: b.Omega)
 
 
@@ -293,6 +296,24 @@ def mode_pf_points(
     )
 
 
+def mode_corner_points(
+    nu: int,
+    Q: float,
+    omega_range: tuple[float, float],
+    sigma: int = -1,
+) -> list[BifurcationPoint]:
+    """Corners met by the mode containing map frequency nu.
+
+    The relabeling corner belongs to the base branch and the terminating
+    corner to the relabeled one.
+    """
+    base = mode_base(nu, sigma)
+    corners = zip(("corner1", "corner2"), mode_corners(base, Q), (base, base + 1))
+    ends = {om for _, piece in mode_segments(base, Q, omega_range) for om in piece}
+    return [BifurcationPoint(kind=kind, Q=Q, Omega=om, nu=seg_nu)
+            for kind, om, seg_nu in corners if om in ends]
+
+
 # --------------------------------------------------------------------------
 # Region scan
 # --------------------------------------------------------------------------
@@ -303,31 +324,30 @@ class RegionGrid:
     nus: list[int]
     Q_axis: np.ndarray
     Omega_axis: np.ndarray
-    exists: np.ndarray  # bool, shape (len(nus), nQ, nOmega)
-    stable: np.ndarray
-    unstable_count: np.ndarray  # int, -1 where no fixed point
+    unstable_count: np.ndarray  # int, shape (len(nus), nQ, nOmega); -1 where no fixed point
+
+    @property
+    def exists(self) -> np.ndarray:
+        return self.unstable_count >= 0
+
+    @property
+    def stable(self) -> np.ndarray:
+        return self.unstable_count == 0
 
 
 def _region_cell(args):
     nus, Q, omegas, sigma = args
-    n_nu, n_om = len(nus), len(omegas)
-    exists = np.zeros((n_nu, n_om), dtype=bool)
-    stable = np.zeros((n_nu, n_om), dtype=bool)
-    counts = np.full((n_nu, n_om), -1, dtype=int)
+    counts = np.full((len(nus), len(omegas)), -1, dtype=int)
     for j, om in enumerate(omegas):
         p = Parameters(Q=Q, Omega=om, sigma=sigma)
         for i, nu in enumerate(nus):
             try:
                 fp = fixed_point(nu, p)
-                if not fp.valid.all:
-                    continue
-                sp = spectrum_of(fp)
+                if fp.valid.all:
+                    counts[i, j] = spectrum_of(fp).unstable_count
             except (NoRoot, Degenerate):
                 continue
-            exists[i, j] = True
-            counts[i, j] = sp.unstable_count
-            stable[i, j] = sp.unstable_count == 0
-    return exists, stable, counts
+    return counts
 
 
 def region_scan(
@@ -349,24 +369,13 @@ def region_scan(
         raise ValueError("resolution must be at least 2 per axis")
     q_axis = np.linspace(q_range[0], q_range[1], nq)
     om_axis = np.linspace(omega_range[0], omega_range[1], nom)
-    n_nu = len(nus)
-    exists = np.zeros((n_nu, nq, nom), dtype=bool)
-    stable = np.zeros((n_nu, nq, nom), dtype=bool)
-    counts = np.full((n_nu, nq, nom), -1, dtype=int)
-    if n_nu == 0:
-        return RegionGrid(nus, q_axis, om_axis, exists, stable, counts)
-
     tasks = [(list(nus), float(q), om_axis, sigma) for q in q_axis]
-    if threads and threads > 1:
+    if threads and threads > 1 and nus:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_region_cell, tasks, chunksize=max(1, nq // (4 * threads))))
     else:
         rows = [_region_cell(t) for t in tasks]
-    for iq, (e, s, c) in enumerate(rows):
-        exists[:, iq, :] = e
-        stable[:, iq, :] = s
-        counts[:, iq, :] = c
-    return RegionGrid(nus, q_axis, om_axis, exists, stable, counts)
+    return RegionGrid(nus, q_axis, om_axis, np.stack(rows, axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -447,23 +456,17 @@ def mode_trace(
 
     Root selection is by continuity of the switching interval from the
     previous sample (rescaled across the relabeling, where T* is continuous).
-    Tracing stops at the type-2 corner where the mode ceases to exist.
+    Tracing stops at the type-2 corner where the mode ceases to exist; a
+    range with no fixed point of the mode (none of its pieces, or no root on
+    them) raises NoRoot.
     """
-    descending = omega_range[0] > omega_range[1]
-    sorted_range = (min(omega_range), max(omega_range))
-    branch = ModeBranch()
-    segs = mode_segments(nu0, Q, sorted_range)
-    if not segs:
-        return branch
-    if descending:
-        segs = segs[::-1]
+    pieces = mode_segments(nu0, Q, omega_range)
     corners = mode_corners(nu0, Q) if Q > 0.5 else ()
-    if corners and sorted_range[1] >= corners[1]:
-        branch.terminated = "corner2"
-
-    total = sorted_range[1] - sorted_range[0]
+    branch = ModeBranch()
+    descending = omega_range[0] > omega_range[1]
+    width = abs(omega_range[1] - omega_range[0])
     T_hint = None
-    for seg_nu, (lo, hi) in segs:
+    for seg_nu, (lo, hi) in pieces[::-1] if descending else pieces:
         # Exactly at a corner the switching-interval root sits on its bracket
         # edge and the scan can miss it; sample a hair inside instead.
         inset = 1e-9 * max(1.0, hi)
@@ -471,7 +474,7 @@ def mode_trace(
             lo = lo + inset
         if hi in corners:
             hi = hi - inset
-        n = max(2, int(round(samples * (hi - lo) / total)))
+        n = max(2, int(round(samples * ((hi - lo) / width))))
         seg_points = np.linspace(lo, hi, n)
         if descending:
             seg_points = seg_points[::-1]
@@ -495,16 +498,15 @@ def mode_trace(
                 )
             branch.samples.append(sample)
             T_hint = fp.Tstar
-        if seg_nu == nu0 and len(segs) > 1:
-            branch.markers.append(
-                BranchSample(kind="marker", nu=seg_nu, Q=Q, Omega=corners[0],
-                             xH=0.0, marker="corner1")
-            )
-    if branch.terminated == "corner2":
-        branch.markers.append(
-            BranchSample(kind="marker", nu=nu0 + 1, Q=Q, Omega=corners[1],
-                         xH=0.0, marker="corner2")
-        )
+    if not branch.samples:
+        raise NoRoot(f"no fixed point of the nu0={nu0} mode for Omega in {omega_range} at Q={Q}")
+    if len(pieces) > 1:
+        branch.markers.append(BranchSample(kind="marker", nu=nu0, Q=Q, Omega=corners[0],
+                                           xH=0.0, marker="corner1"))
+    if corners and pieces[-1][1][1] == corners[1]:
+        branch.terminated = "corner2"
+        branch.markers.append(BranchSample(kind="marker", nu=nu0 + 1, Q=Q, Omega=corners[1],
+                                           xH=0.0, marker="corner2"))
     return branch
 
 
@@ -536,7 +538,7 @@ def period_diagram(
             branch = mode_trace(base, Q, omega_range, sigma=sigma, samples=samples)
             rows.extend(branch.samples)
             rows.extend(branch.markers)
-        except LostBranch:
+        except (LostBranch, NoRoot):
             pass  # markers below do not depend on the trace
         pts = mode_ns_points(base, Q, omega_range, sigma=sigma, samples=samples)
         for pt in pts + mode_pf_points(base, Q, omega_range, sigma=sigma, samples=samples):

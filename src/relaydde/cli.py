@@ -249,20 +249,11 @@ def _cmd_fixedpoint(args) -> int:
 
 def _cmd_locus(args) -> int:
     rng = (args.omega_min, args.omega_max)
-    if args.kind == "ns":
-        pts = atlas.mode_ns_points(args.nu, args.Q, rng, sigma=args.sigma,
-                                   samples=args.samples)
-    elif args.kind == "pf":
-        pts = atlas.mode_pf_points(args.nu, args.Q, rng, sigma=args.sigma,
-                                   samples=args.samples)
+    if args.kind == "corner":
+        pts = atlas.mode_corner_points(args.nu, args.Q, rng, sigma=args.sigma)
     else:
-        # Mode-aware: the relabeling corner belongs to the base branch and
-        # the terminating corner to the relabeled one.
-        base = atlas.mode_base(args.nu, args.sigma)
-        relabel, end = atlas.mode_corners(base, args.Q)
-        pts = [atlas.BifurcationPoint(kind=kind, Q=args.Q, Omega=om, nu=nu)
-               for kind, om, nu in (("corner1", relabel, base), ("corner2", end, base + 1))
-               if rng[0] <= om <= rng[1]]
+        locus = atlas.mode_ns_points if args.kind == "ns" else atlas.mode_pf_points
+        pts = locus(args.nu, args.Q, rng, sigma=args.sigma, samples=args.samples)
     _emit(args.out, args.format, serialize.LOCUS_CSV_HEADER,
           [serialize.bifurcation_point_row(pt) for pt in pts],
           [serialize.bifurcation_point_json(pt) for pt in pts])
@@ -309,14 +300,15 @@ def _cmd_torus_scan(args) -> int:
         seed_eps=args.seed_eps,
         settle_events=args.settle_events or 2 * args.events,
     )
-    summaries = serialize.torus_summary_json(entries)
     if args.out:
-        _emit(args.out, args.format, serialize.TORUS_CSV_HEADER,
-              serialize.torus_rows(entries), summaries)
-    for line in summaries:
+        _emit(args.out, args.format, serialize.TORUS_CSV_HEADER, serialize.torus_rows(entries))
+    for line in serialize.torus_summary_json(entries):
         print(serialize.json_line(line))
     return 0
 
+
+# Commands that read a mode's Omega range; a range of zero width holds no mode.
+_MODE_COMMANDS = ("locus", "period-diagram", "mode-trace")
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
@@ -338,6 +330,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         ap.error(f"--config: {exc}")
     args = ap.parse_args(argv)
+    if args.command in _MODE_COMMANDS and args.omega_min == args.omega_max:
+        ap.error(f"{args.command}: --omega-min and --omega-max must differ")
     try:
         args.threads = args.threads or _default_threads()
     except argparse.ArgumentTypeError as exc:

@@ -80,8 +80,8 @@ FIXEDPOINT_CSV_HEADER = [
 ]
 
 
-def fixed_point_json(fp: FixedPoint, xh: float, spectrum: Optional[Spectrum]) -> dict:
-    out = {
+def fixed_point_json(fp: FixedPoint, xh: float, spectrum: Spectrum) -> dict:
+    return {
         "nu": fp.nu,
         "Q": fp.params.Q,
         "Omega": fp.params.Omega,
@@ -96,19 +96,17 @@ def fixed_point_json(fp: FixedPoint, xh: float, spectrum: Optional[Spectrum]) ->
             "delta_window": fp.valid.delta_window,
             "parity": fp.valid.parity,
         },
+        "roots": [[float(z.real), float(z.imag)] for z in spectrum.roots],
+        "unstable_count": spectrum.unstable_count,
     }
-    if spectrum is not None:
-        out["roots"] = [[float(z.real), float(z.imag)] for z in spectrum.roots]
-        out["unstable_count"] = spectrum.unstable_count
-    return out
 
 
-def fixed_point_row(fp: FixedPoint, xh: float, spectrum: Optional[Spectrum]):
+def fixed_point_row(fp: FixedPoint, xh: float, spectrum: Spectrum):
     return [
         fp.nu, fp.params.Q, fp.params.Omega, fp.params.sigma,
         fp.Tstar, fp.yZstar, fp.zstar, fp.deltastar, xh,
         fp.valid.z_window, fp.valid.delta_window, fp.valid.parity,
-        spectrum.unstable_count if spectrum is not None else "",
+        spectrum.unstable_count,
     ]
 
 
@@ -134,15 +132,11 @@ REGION_CSV_HEADER = ["nu", "Q", "Omega", "exists", "stable", "unstable_count"]
 
 
 def region_rows(grid: RegionGrid):
-    for i, nu in enumerate(grid.nus):
-        for iq, q in enumerate(grid.Q_axis):
-            for jo, om in enumerate(grid.Omega_axis):
-                yield [
-                    nu, float(q), float(om),
-                    bool(grid.exists[i, iq, jo]),
-                    bool(grid.stable[i, iq, jo]),
-                    int(grid.unstable_count[i, iq, jo]),
-                ]
+    omegas = grid.Omega_axis.tolist()
+    for nu, counts in zip(grid.nus, grid.unstable_count.tolist()):
+        for q, row in zip(grid.Q_axis.tolist(), counts):
+            for om, c in zip(omegas, row):
+                yield [nu, q, om, c >= 0, c == 0, c]
 
 
 BRANCH_CSV_HEADER = [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydde import atlas
 from relaydde.atlas import (
@@ -300,6 +302,29 @@ class TestModeTrace:
     def test_segments_overdamped_single(self):
         segs = mode_segments(2, 0.45, (1.0, 40.0))
         assert segs == [(2, (1.0, 40.0))]
+
+
+_omega = st.floats(1e-3, 200.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu0=st.integers(0, 12), Q=st.floats(0.05, 5.0), a=_omega, b=_omega)
+def test_mode_segments_are_ascending_pieces_of_the_range(nu0, Q, a, b):
+    pieces = mode_segments(nu0, Q, (a, b))
+    assert pieces == mode_segments(nu0, Q, (b, a))
+    lo, hi = min(a, b), max(a, b)
+    end = mode_corners(nu0, Q)[1] if Q > 0.5 else math.inf
+    ends = [om for _, piece in pieces for om in piece]
+    assert ends == sorted(ends)
+    for nu, (p_lo, p_hi) in pieces:
+        assert lo <= p_lo < p_hi <= min(hi, end)
+    # The pieces tile the part of the range below the mode's end, relabeling once.
+    assert [nu for nu, _ in pieces] in ([], [nu0], [nu0 + 1], [nu0, nu0 + 1])
+    assert all(p[1][1] == q[1][0] for p, q in zip(pieces, pieces[1:]))
+    if lo < min(hi, end):
+        assert (ends[0], ends[-1]) == (lo, min(hi, end))
+    else:
+        assert pieces == []
 
 
 class TestPeriodDiagram:

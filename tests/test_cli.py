@@ -101,7 +101,7 @@ class TestFixedpointSpectrum:
         ["fixedpoint", "--Q", "1e-300", "--Omega", "1", "--nu", "0"],
         ["fixedpoint", "--Q", "1.5", "--Omega", "1e-300", "--nu", "0"],
         ["simulate", "--Q", "1.5", "--Omega", "1e-300", "--events", "10"],
-        ["mode-trace", "--nu0", "2", "--Q", "1.5", "--omega-min", "1e300",
+        ["mode-trace", "--nu0", "2", "--Q", "0.45", "--omega-min", "1e300",
          "--omega-max", "1.7e308", "--samples", "3"],
         ["fixedpoint", "--Q", "1.5", "--Omega", "1e9", "--nu", "1"],
     ])
@@ -186,7 +186,95 @@ class TestRegionAndDiagram:
         assert nus == {2, 3}
 
 
+def _upward(argv):
+    lo, hi = argv.index("--omega-min") + 1, argv.index("--omega-max") + 1
+    up = list(argv)
+    up[lo], up[hi] = argv[hi], argv[lo]
+    return up
+
+
+def _markers(csv_text):
+    return sorted(line for line in csv_text.splitlines() if line.startswith("marker,"))
+
+
+def _span(lo, hi):
+    return ["--omega-min", lo, "--omega-max", hi]
+
+
+NS3 = ["locus", "--kind", "ns", "--nu", "3", "--Q", "1.5"]
+TRACE = ["mode-trace", "--nu0", "2", "--Q", "1.5"]
+DIAGRAM = ["period-diagram", "--nus", "2", "--Q", "1.5"]
+HUGE = _span("1e300", "1.7e308") + ["--samples", "3"]
+
+# Each mode command reads its Omega range through atlas.mode_segments.  Per
+# argv: the exit code, then what it prints: "upward" (the rows of the same
+# command on the upward range), "markers" (the upward range's markers),
+# "passband" (passband rows only), "usage", or the JSON error record's type.
+MODE_RANGE_CASES = [
+    (NS3 + ["--Omega", "1"] + _span("20", "2") + ["--samples", "40"], 0, "upward"),
+    (["locus", "--kind", "pf", "--nu", "3", "--Q", "1.5"] + _span("23", "10")
+     + ["--samples", "40"], 0, "upward"),
+    (["locus", "--kind", "corner", "--nu", "2", "--Q", "1.5"] + _span("30", "5"), 0, "upward"),
+    (["locus", "--kind", "ns", "--nu", "4", "--Q", "0.45"] + _span("40", "2")
+     + ["--samples", "40"], 0, "upward"),
+    (DIAGRAM + _span("24", "4") + ["--samples", "40"], 0, "markers"),
+    (TRACE + _span("30", "40") + ["--samples", "8"], 1, "NoRoot"),
+    (["mode-trace", "--nu0", "0", "--Q", "0.45"] + _span("100", "200") + ["--samples", "10"],
+     1, "NoRoot"),
+    (DIAGRAM + _span("30", "40") + ["--samples", "8"], 0, "passband"),
+    (TRACE + _span("15", "15"), 2, "usage"),
+    (["mode-trace", "--nu0", "2", "--Q", "0.45"] + _span("5", "5"), 2, "usage"),
+    (DIAGRAM + _span("15", "15"), 2, "usage"),
+    (NS3 + _span("15", "15") + ["--samples", "40"], 2, "usage"),
+    (["mode-trace", "--nu0", "2", "--Q", "0.45"] + HUGE, 1, "ValueError"),
+    (TRACE + HUGE, 1, "NoRoot"),
+    (["locus", "--kind", "ns", "--nu", "3", "--Q", "0.45"] + HUGE, 1, "ValueError"),
+]
+
+
+@pytest.mark.parametrize("argv,rc,expect", MODE_RANGE_CASES,
+                         ids=[" ".join(c[0]) for c in MODE_RANGE_CASES])
+def test_mode_range_in_either_direction(argv, rc, expect, monkeypatch, capsys):
+    monkeypatch.setattr(symmap, "T_STAR_GRID_MAX", 4096)
+    if expect == "usage":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == rc
+        assert "must differ" in capsys.readouterr().err
+        return
+    assert main(argv) == rc
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if rc == 1:
+        assert out == ""
+        assert json.loads(err)["error"] == expect
+    elif expect == "passband":
+        kinds = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert kinds == ["passband_lo", "passband_hi"] * 2
+    else:
+        assert main(_upward(argv)) == 0
+        up = capsys.readouterr().out
+        if expect == "upward":
+            assert out == up and len(out.splitlines()) >= 2
+        else:
+            assert _markers(out) == _markers(up) and len(_markers(up)) == 5
+
+
 class TestTorusScanCommand:
+    def test_json_out_holds_the_section(self, tmp_path, capsys):
+        argv = ["torus-scan", "--Q", "1.5", "--omega-min", "14.5", "--omega-max", "14.5",
+                "--steps", "1", "--events", "600"]
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(argv + ["--out", str(csv_out)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+        summaries = capsys.readouterr().out.splitlines()
+        assert len(summaries) == 2 and summaries[0] == summaries[1]
+        rows = csv_out.read_text().splitlines()[1:]
+        recs = [json.loads(line) for line in json_out.read_text().splitlines()]
+        assert len(recs) == len(rows) > 1
+        assert [(r["x"], r["y"]) for r in recs] == [
+            tuple(float(v) for v in row.split(",")[3:]) for row in rows]
+
     def test_cluster_below_bifurcation(self, tmp_path, capsys):
         out = tmp_path / "torus.csv"
         rc = main(["torus-scan", "--Q", "1.5", "--omega-min", "14.5",
