@@ -338,7 +338,8 @@ class RegionGrid:
 def _region_cell(args):
     nus, Q, omegas, sigma = args
     counts = np.full((len(nus), len(omegas)), -1, dtype=int)
-    for j, om in enumerate(omegas):
+    # Python floats: on numpy scalars Brent's steps would warn on stderr.
+    for j, om in enumerate(omegas.tolist()):
         p = Parameters(Q=Q, Omega=om, sigma=sigma)
         for i, nu in enumerate(nus):
             try:
@@ -469,7 +470,7 @@ def mode_trace(
     for seg_nu, (lo, hi) in pieces[::-1] if descending else pieces:
         # Exactly at a corner the switching-interval root sits on its bracket
         # edge and the scan can miss it; sample a hair inside instead.
-        inset = 1e-9 * max(1.0, hi)
+        inset = min(1e-9 * max(1.0, hi), 0.25 * (hi - lo))
         if lo in corners:
             lo = lo + inset
         if hi in corners:

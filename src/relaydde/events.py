@@ -12,6 +12,9 @@ advance the state:
 Both event delays are computed exactly from the closed-form flow, so the
 simulation has no step-size error; the only tolerances are those of the
 scalar root refinement.
+
+An orbit with no repeating event block is a torus when ``classify_section``,
+the section test that ``torus`` scans also use, finds a settled closed curve.
 """
 
 from __future__ import annotations
@@ -274,10 +277,15 @@ class OrbitClass:
 PERIOD_RTOL = 1e-8
 MAX_BLOCK = 40
 
-# A quasiperiodic section's last two quarter diameters agree within this
-# relative change and stay above the floor.
+# The last two quarters of a quasiperiodic section agree in diameter within this.
 SECTION_REL_CHANGE = 0.2
-SECTION_FLOOR = 1e-6
+
+# classify_section thresholds; cluster width and largest gap scale with the diameter.
+CLUSTER_EPS_REL = 0.01
+MAX_CLUSTERS = 16
+MIN_CURVE_POINTS = 200
+MIN_DIAMETER = 1e-3
+GAP_FACTOR = 0.08
 
 
 def classify(rec: OrbitRecord, min_events: int = 200) -> OrbitClass:
@@ -287,7 +295,9 @@ def classify(rec: OrbitRecord, min_events: int = 200) -> OrbitClass:
     intervals to repeat over three consecutive candidate blocks at the tail
     of the record.  The frequency label is the number of zero crossings in
     the open unit interval preceding a Z-type event, and the symmetry label
-    compares kinds and headpoints across a half-period shift.
+    compares kinds and headpoints across a half-period shift.  With no
+    period, the orbit is quasiperiodic when the last quarter of its H section
+    is a closed curve as large as the quarter before it.
     """
     if rec.terminated == "nonoscillatory":
         return OrbitClass(tag=OrbitTag.NONOSCILLATORY)
@@ -298,7 +308,7 @@ def classify(rec: OrbitRecord, min_events: int = 200) -> OrbitClass:
     if block is not None:
         return _label_periodic(rec, block)
 
-    if _section_diameter_stable(rec):
+    if _settled_closed_curve(rec):
         return OrbitClass(tag=OrbitTag.QUASIPERIODIC)
     return OrbitClass(tag=OrbitTag.UNDECIDED)
 
@@ -374,24 +384,104 @@ def _symmetry_label(events, block):
     return "S"
 
 
-def _section_diameter_stable(rec):
+def _settled_closed_curve(rec):
     # One event kind only: mixing H with Hbar would measure the orbit scale
     # (the two sets are near-negatives) instead of the section's spread.
+    # A curve still spiralling in or out changes size between the quarters.
     pts = rec.h_section(EventKind.H)
-    if len(pts) < 40:
-        return False
     q = len(pts) // 4
-    d = [_diameter(pts[i * q : (i + 1) * q]) for i in range(4)]
-    if d[3] < SECTION_FLOOR:
+    last = classify_section(pts[3 * q : 4 * q])
+    if last.kind != "closed-curve":
         return False
-    if abs(d[2] - d[3]) > SECTION_REL_CHANGE * max(d[2], d[3]):
-        return False
-    # A slowly contracting periodic transient also has locally stable
-    # quarter diameters; demand that the spread has not kept decaying.
-    return d[3] >= 0.5 * max(d[0], d[1])
+    third = classify_section(pts[2 * q : 3 * q]).diameter
+    return abs(third - last.diameter) <= SECTION_REL_CHANGE * max(third, last.diameter)
 
 
-def _diameter(pts):
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+@dataclass(frozen=True)
+class SectionShape:
+    kind: str  # "cluster" | "closed-curve" | "irregular" | "empty"
+    n_points: int
+    n_clusters: Optional[int]
+    diameter: float
+    box_dimension: Optional[float]
+
+
+def classify_section(points: list[tuple[float, float]]) -> SectionShape:
+    """Geometric classification of a section point set.
+
+    A section collapsing into at most ``MAX_CLUSTERS`` tight clusters, or one
+    whose total extent sits below ``MIN_DIAMETER`` (a decayed remnant around
+    a periodic point), is periodic.  A closed invariant curve must look
+    one-dimensional at two box scales, have curve-like nearest-neighbor
+    spacing, and leave no large gap along itself.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 8:
+        return SectionShape("empty", len(pts), None, 0.0, None)
+    diam = math.hypot(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
+    if diam <= MIN_DIAMETER:
+        return SectionShape("cluster", len(pts), 1, diam, None)
+
+    n_clusters = _count_clusters(pts, CLUSTER_EPS_REL * diam)
+    if n_clusters is not None:
+        return SectionShape("cluster", len(pts), n_clusters, diam, None)
+
+    if len(pts) < MIN_CURVE_POINTS:
+        return SectionShape("irregular", len(pts), None, diam, None)
+
+    dim = _box_dimension(pts, diam)
+    spacing_ok = _median_spacing(pts) <= 12.0 * diam / len(pts)
+    gap_ok = _no_large_gaps(pts, diam)
+    if 0.5 <= dim <= 1.45 and spacing_ok and gap_ok:
+        return SectionShape("closed-curve", len(pts), None, diam, dim)
+    return SectionShape("irregular", len(pts), None, diam, dim)
+
+
+def _count_clusters(pts, eps):
+    """Greedy clustering; None when the set is not cluster-like."""
+    centers: list[np.ndarray] = []
+    counts: list[int] = []
+    for p in pts:
+        for i, c in enumerate(centers):
+            if abs(p[0] - c[0]) <= eps and abs(p[1] - c[1]) <= eps:
+                counts[i] += 1
+                break
+        else:
+            centers.append(p)
+            if len(centers) > MAX_CLUSTERS:
+                return None
+            counts.append(1)
+    return len(centers)
+
+
+def _box_dimension(pts, diam):
+    # Coarse scales: with a few thousand points, finer grids go point-limited
+    # and a filled region would masquerade as one-dimensional.
+    lo = pts.min(axis=0)
+    counts = []
+    scales = (8, 32)
+    for nboxes in scales:
+        h = diam / nboxes
+        cells = {(int((p[0] - lo[0]) / h), int((p[1] - lo[1]) / h)) for p in pts}
+        counts.append(len(cells))
+    return math.log(counts[1] / counts[0]) / math.log(scales[1] / scales[0])
+
+
+def _median_spacing(pts):
+    sub = pts[:: max(1, len(pts) // 256)]
+    dists = []
+    for p in sub:
+        d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
+        dists.append(math.sqrt(np.partition(d2, 1)[1]))
+    return float(np.median(dists))
+
+
+def _no_large_gaps(pts, diam):
+    """Every point's nearest neighbor lies within GAP_FACTOR * diameter."""
+    sub = pts[:: max(1, len(pts) // 512)]
+    for p in sub:
+        d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
+        d2 = np.partition(d2, 1)[1]  # skip self
+        if d2 > (GAP_FACTOR * diam) ** 2:
+            return False
+    return True

@@ -125,7 +125,9 @@ def _t_star_residual_vec(T: np.ndarray, nu: int, r: Rates) -> np.ndarray:
     else:
         gz = z
         gd = d
-    return np.exp(r.mu * T) * gz - gd
+    # The product may overflow to inf; only its sign and exact zeros are read.
+    with np.errstate(over="ignore"):
+        return np.exp(r.mu * T) * gz - gd
 
 
 def _t_star_residual(T: float, nu: int, r: Rates) -> float:

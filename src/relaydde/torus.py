@@ -2,8 +2,9 @@
 
 The section is the set of headpoints recorded at H events.  A periodic
 orbit leaves a small set of point clusters; a torus attractor fills a
-closed curve.  The classifier below distinguishes the two from the point
-geometry alone, so it needs no access to the event intervals.
+closed curve.  ``events.classify_section``, which ``events.classify`` also
+uses, distinguishes the two from the point geometry alone, so it needs no
+access to the event intervals.
 
 Long transients are the rule near a torus bifurcation (the linear growth
 rate is |lambda| - 1 per map step), so scans warm-start each parameter
@@ -13,27 +14,17 @@ fraction before classifying.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .errors import CornerCollision, RelayDDEError
-from .events import EventKind, SystemState, simulate
+from .events import EventKind, SectionShape, SystemState, classify_section, simulate
 from .flow import Headpoint
 from .params import Parameters
 from .symmap import FixedPoint, fixed_point, state_from_fixed_point
 
 DEFAULT_EVENTS = 40000
 DEFAULT_TRANSIENT = 0.2
-
-# classify_section thresholds; cluster width and largest gap scale with the diameter.
-CLUSTER_EPS_REL = 0.01
-MAX_CLUSTERS = 16
-MIN_CURVE_POINTS = 200
-MIN_DIAMETER = 1e-3
-GAP_FACTOR = 0.08
 
 
 def perturbed_seed(fp: FixedPoint, eps: float = 1e-3) -> SystemState:
@@ -45,96 +36,6 @@ def perturbed_seed(fp: FixedPoint, eps: float = 1e-3) -> SystemState:
 def rebase_state(st: SystemState) -> SystemState:
     """Shift the time origin to 0 so chained runs do not accumulate large t."""
     return replace(st, t=0.0, zeros=tuple(z - st.t for z in st.zeros))
-
-
-@dataclass(frozen=True)
-class SectionShape:
-    kind: str  # "cluster" | "closed-curve" | "irregular" | "empty"
-    n_points: int
-    n_clusters: Optional[int]
-    diameter: float
-    box_dimension: Optional[float]
-
-
-def classify_section(points: list[tuple[float, float]]) -> SectionShape:
-    """Geometric classification of a section point set.
-
-    A section collapsing into at most ``MAX_CLUSTERS`` tight clusters, or one
-    whose total extent sits below ``MIN_DIAMETER`` (a decayed remnant around
-    a periodic point), is periodic.  A closed invariant curve must look
-    one-dimensional at two box scales, have curve-like nearest-neighbor
-    spacing, and leave no large gap along itself.
-    """
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 8:
-        return SectionShape("empty", len(pts), None, 0.0, None)
-    diam = math.hypot(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
-    if diam <= MIN_DIAMETER:
-        return SectionShape("cluster", len(pts), 1, diam, None)
-
-    n_clusters = _count_clusters(pts, CLUSTER_EPS_REL * diam)
-    if n_clusters is not None:
-        return SectionShape("cluster", len(pts), n_clusters, diam, None)
-
-    if len(pts) < MIN_CURVE_POINTS:
-        return SectionShape("irregular", len(pts), None, diam, None)
-
-    dim = _box_dimension(pts, diam)
-    spacing_ok = _median_spacing(pts) <= 12.0 * diam / len(pts)
-    gap_ok = _no_large_gaps(pts, diam)
-    if 0.5 <= dim <= 1.45 and spacing_ok and gap_ok:
-        return SectionShape("closed-curve", len(pts), None, diam, dim)
-    return SectionShape("irregular", len(pts), None, diam, dim)
-
-
-def _count_clusters(pts, eps):
-    """Greedy clustering; None when the set is not cluster-like."""
-    centers: list[np.ndarray] = []
-    counts: list[int] = []
-    for p in pts:
-        for i, c in enumerate(centers):
-            if abs(p[0] - c[0]) <= eps and abs(p[1] - c[1]) <= eps:
-                counts[i] += 1
-                break
-        else:
-            centers.append(p)
-            if len(centers) > MAX_CLUSTERS:
-                return None
-            counts.append(1)
-    return len(centers)
-
-
-def _box_dimension(pts, diam):
-    # Coarse scales: with a few thousand points, finer grids go point-limited
-    # and a filled region would masquerade as one-dimensional.
-    lo = pts.min(axis=0)
-    counts = []
-    scales = (8, 32)
-    for nboxes in scales:
-        h = diam / nboxes
-        cells = {(int((p[0] - lo[0]) / h), int((p[1] - lo[1]) / h)) for p in pts}
-        counts.append(len(cells))
-    return math.log(counts[1] / counts[0]) / math.log(scales[1] / scales[0])
-
-
-def _median_spacing(pts):
-    sub = pts[:: max(1, len(pts) // 256)]
-    dists = []
-    for p in sub:
-        d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
-        dists.append(math.sqrt(np.partition(d2, 1)[1]))
-    return float(np.median(dists))
-
-
-def _no_large_gaps(pts, diam):
-    """Every point's nearest neighbor lies within GAP_FACTOR * diameter."""
-    sub = pts[:: max(1, len(pts) // 512)]
-    for p in sub:
-        d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
-        d2 = np.partition(d2, 1)[1]  # skip self
-        if d2 > (GAP_FACTOR * diam) ** 2:
-            return False
-    return True
 
 
 @dataclass

@@ -31,11 +31,12 @@ from relaydde.symmap import (
 from relaydde.torus import (
     COEXISTENCE_PATH,
     LARGE_TORUS_PATH,
-    follow_path,
     perturbed_seed,
     rebase_state,
     run_section,
 )
+
+import oracles
 
 
 def sample_valid(n, seed, q_range=(0.15, 2.8), om_range=(1.0, 30.0), nu_max=8):
@@ -369,10 +370,10 @@ class TestCriterion8Torus:
         p = Parameters(Q=Q_end, Omega=om_end, sigma=-1)
         fp = fixed_point(3, p)
         assert spectrum_of(fp).unstable_count == 0
-        st = follow_path(COEXISTENCE_PATH, start_events=50000, step_events=12000)
-        shape, pts, _, tag = run_section(st, p, 24000, 0.5)
+        st = oracles.coexistence_state()
+        shape, pts, _, tag = oracles.run_section(st, p, 24000, 0.5)
         assert tag == "closed-curve" and shape.diameter > 0.5
-        shape2, _, _, tag2 = run_section(perturbed_seed(fp, 1e-4), p, 12000, 0.5)
+        shape2, _, _, tag2 = oracles.run_section(perturbed_seed(fp, 1e-4), p, 12000, 0.5)
         assert tag2 == "cluster"
         print(f"\nACCEPTANCE 8 (supporting) PASS: torus (diameter "
               f"{shape.diameter:.2f}) coexists with the stable periodic "
@@ -389,8 +390,10 @@ class TestCriterion8Torus:
     def test_coexistence_at_reported_endpoint(self):
         tail = [(1.89, 14.582), (1.90, 14.576), (1.91, 14.571),
                 (1.92, 14.565), (1.93, 14.56)]
-        st = follow_path(LARGE_TORUS_PATH + tail,
-                         start_events=50000, step_events=12000)
+        # follow_path(LARGE_TORUS_PATH + tail, 50000, 12000), continued
+        # from the shared state at the end of its COEXISTENCE_PATH prefix.
+        st = oracles.continue_path(oracles.coexistence_state(),
+                                   LARGE_TORUS_PATH[len(COEXISTENCE_PATH):] + tail)
         p = Parameters(Q=1.93, Omega=14.56, sigma=-1)
         fp = fixed_point(3, p)
         shape2, _, _, tag2 = run_section(perturbed_seed(fp, 1e-4), p, 12000, 0.5)

