@@ -112,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("locus", help="bifurcation points along one mode")
     _add_params(sp, omega_required=False)  # unused; accepted so configs carry over
-    sp.add_argument("--kind", choices=("ns", "pf", "corner"), required=True)
+    sp.add_argument("--kind", choices=("ns", "pf", "corner"), required=True,
+                    help="ns follows only the largest complex-pair modulus, so it does not "
+                    "report the secondary NS crossings of orbits that are already unstable")
     sp.add_argument("--nu", type=_nonneg_int, required=True)
     sp.add_argument("--omega-min", type=_positive_float, required=True)
     sp.add_argument("--omega-max", type=_positive_float, required=True)
@@ -191,11 +193,11 @@ def _apply_config(argv: list[str]) -> list[str]:
     return out
 
 
-def _emit(out, fmt, header, rows, records=None):
+def _emit(out, fmt, header, rows, records=None, row_format=None):
     """Write the data payload to the file out, or to stdout when out is None.
 
     fmt "json" writes one line per record (records, else one header-keyed
-    dict per row); "csv" or None writes header and rows.
+    dict per row); "csv" or None writes header and rows, via row_format if set.
     """
     if fmt == "json" and records is None:
         records = (dict(zip(header, r)) for r in rows)
@@ -203,7 +205,7 @@ def _emit(out, fmt, header, rows, records=None):
         if fmt == "json":
             fh.writelines(serialize.json_line(r) + "\n" for r in records)
         else:
-            serialize.write_csv(header, rows, fh)
+            serialize.write_csv(header, rows, fh, row_format)
 
 
 def _cmd_simulate(args) -> int:
@@ -220,7 +222,8 @@ def _cmd_simulate(args) -> int:
             _emit(args.out, "json", None, None, [serialize.orbit_record_json(rec, cls)])
         else:
             rows = rec.samples or [(e.time, e.v.x, e.v.y) for e in rec.events]
-            _emit(args.out, "csv", serialize.ORBIT_CSV_HEADER, rows)
+            _emit(args.out, "csv", serialize.ORBIT_CSV_HEADER, rows,
+                  row_format=serialize.ORBIT_CSV_ROW)
     summary = {
         "command": "simulate",
         "Q": p.Q, "Omega": p.Omega, "sigma": p.sigma,

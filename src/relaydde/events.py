@@ -15,6 +15,7 @@ scalar root refinement.
 
 An orbit with no repeating event block is a torus when ``classify_section``,
 the section test that ``torus`` scans also use, finds a settled closed curve.
+Dense output samples every segment in one array pass after the event loop.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CornerCollision, NonoscillatoryEnd
-from .flow import Headpoint, apply_flow, apply_flow_array, first_crossing, flow_x
+from .flow import Headpoint, _advance, apply_flow, decayed_gcos_gsinc_array, first_crossing, flow_x
 from .params import Parameters, Rates, Regime, derive_rates
 from .rootfind import brentq
 
@@ -39,6 +40,8 @@ NODE_TOLERANCE = 1e-13
 
 _BRENTQ_XTOL = 1e-14
 _BRENTQ_MAXITER = 200
+
+SAMPLES_MAX = 2**24  # dense samples per orbit, counted before anything is allocated
 
 
 class EventKind(enum.Enum):
@@ -216,13 +219,14 @@ def simulate(
 ) -> OrbitRecord:
     """Run the event loop from st0 for at most max_events events (or until t_max).
 
-    Dense samples, when requested, are evaluated from the exact flow between
-    events, so they inherit no integration error.
+    Dense samples, when requested, come from the exact flow between events
+    (no integration error) in one pass after the loop; past SAMPLES_MAX, ValueError.
     """
     if sample_dt is not None and not (sample_dt > 0.0 and math.isfinite(sample_dt)):
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
     r = derive_rates(p)
     rec = OrbitRecord(params=p)
+    segs = []  # (t0, x0, y0, s, t_end) per segment, for dense sampling
     st = st0
     for _ in range(max_events):
         if t_max is not None and st.t >= t_max:
@@ -233,20 +237,30 @@ def simulate(
             rec.terminated = "nonoscillatory"
             break
         if sample_dt is not None:
-            _sample_segment(rec, st, ev.time, p.sigma * st.hist_sign, r, sample_dt)
+            segs.append((st.t, st.v.x, st.v.y, p.sigma * st.hist_sign, ev.time))
         rec.events.append(ev)
         st = st_next
     rec.final_state = st
+    if segs:
+        _sample_segments(rec, segs, r, sample_dt)
     return rec
 
 
-def _sample_segment(rec, st, t_end, s, r, dt):
-    # Sample times i * dt, cut where st.t + i * dt reaches t_end (a prefix,
-    # since both sums are monotone in i), then one flow call for them all.
-    tau = np.arange(int((t_end - st.t) / dt) + 1) * dt
-    tau = tau[st.t + tau < t_end]
-    x, y = apply_flow_array(tau, st.v, s, r)
-    rec.samples.extend(zip((st.t + tau).tolist(), x.tolist(), y.tolist()))
+def _sample_segments(rec, segs, r, dt):
+    # Each segment samples t0 + k * dt, k * dt the floats of np.arange(n) * dt,
+    # up to t_end (a prefix: both sums grow with k); one flow call for all.
+    t0, x0, y0, s, t_end = map(np.array, zip(*segs))
+    n = np.floor((t_end - t0) / dt) + 1.0
+    if not n.sum() <= SAMPLES_MAX:  # a float sum: nothing wraps or is allocated
+        raise ValueError(f"sample_dt={dt} asks for {n.sum():.3g} samples, over {SAMPLES_MAX}")
+    n = n.astype(np.int64)
+    seg = np.repeat(np.arange(len(n)), n)
+    tau = (np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)) * dt
+    t = t0[seg] + tau
+    keep = t < t_end[seg]
+    seg, tau = seg[keep], tau[keep]
+    x, y = _advance(*decayed_gcos_gsinc_array(tau, r), x0[seg], y0[seg], s[seg], r)
+    rec.samples.extend(zip(t[keep].tolist(), x.tolist(), y.tolist()))
 
 
 class OrbitTag(enum.Enum):

@@ -96,17 +96,16 @@ def decayed_gcos_gsinc_array(t: np.ndarray, r: Rates) -> tuple[np.ndarray, np.nd
     return egc, egs
 
 
-def _advance(egc, egs, v: Headpoint, s: int, r: Rates):
-    """(x, y) of A(t)v + s b(t) from the decayed pair; scalars or arrays alike."""
-    if s not in (-1, 1):
-        raise ValueError(f"flow sign must be +1 or -1, got {s}")
+def _advance(egc, egs, x0, y0, s, r: Rates):
+    """(x, y) of A(t)v + s b(t), v = (x0, y0), from the decayed pair; any
+    argument but r may be an array.  Callers pass s in {+1, -1}; apply_flow checks."""
     mu = r.mu
     bx = 2.0 * mu * egs
     by_decay = egc + mu * egs
-    x = (egc - mu * egs) * v.x - 2.0 * mu * egs * v.y + s * bx
+    x = (egc - mu * egs) * x0 - 2.0 * mu * egs * y0 + s * bx
     y = (
-        r.omega_sq_plus_mu_sq / (2.0 * mu) * egs * v.x
-        + by_decay * v.y
+        r.omega_sq_plus_mu_sq / (2.0 * mu) * egs * x0
+        + by_decay * y0
         + s * (1.0 - by_decay)
     )
     return x, y
@@ -114,12 +113,9 @@ def _advance(egc, egs, v: Headpoint, s: int, r: Rates):
 
 def apply_flow(t: float, v: Headpoint, s: int, r: Rates) -> Headpoint:
     """Advance the headpoint by time t under feedback frozen at s in {+1, -1}."""
-    return Headpoint(*_advance(*decayed_gcos_gsinc(t, r), v, s, r))
-
-
-def apply_flow_array(t: np.ndarray, v: Headpoint, s: int, r: Rates) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) arrays of apply_flow over a 1-D array of t >= 0."""
-    return _advance(*decayed_gcos_gsinc_array(t, r), v, s, r)
+    if s not in (-1, 1):
+        raise ValueError(f"flow sign must be +1 or -1, got {s}")
+    return Headpoint(*_advance(*decayed_gcos_gsinc(t, r), v.x, v.y, s, r))
 
 
 def flow_x(t: float, v: Headpoint, s: int, r: Rates) -> float:

@@ -2,9 +2,10 @@
 
 CSV floats are printed as ``%.17g`` and JSON floats as Python's shortest
 round-trip ``repr``; both parse back to the same bits, so identical inputs
-produce byte-identical files on one platform.  JSON documents are emitted
-as JSON lines, one object per record, each carrying a ``schema_version``
-field.
+produce byte-identical files on one platform.  Orbit rows, all floats, go
+through one ``%`` template (``ORBIT_CSV_ROW``), other tables through ``fmt``
+per value.  JSON documents are emitted as JSON lines, one object per
+record, each carrying a ``schema_version`` field.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ SCHEMA_VERSION = 1
 
 def fmt(x: Any) -> str:
     """Render one value for CSV output; floats get 17 significant digits."""
-    if type(x) is float:
-        return format(x, ".17g")
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -38,9 +37,12 @@ def json_line(record: dict) -> str:
     return json.dumps({"schema_version": SCHEMA_VERSION, **record})
 
 
-def write_csv(header: list[str], rows: Iterable[Iterable[Any]], fh: TextIO) -> None:
+def write_csv(header: list[str], rows: Iterable[Iterable[Any]], fh: TextIO,
+              row_format: Optional[str] = None) -> None:
+    """Header, then rows: values through fmt, or tuples through row_format."""
     fh.write(",".join(header) + "\n")
-    fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+    fh.writelines(map(row_format.__mod__, rows) if row_format else
+                  (",".join(map(fmt, row)) + "\n" for row in rows))
 
 
 # --------------------------------------------------------------------------
@@ -72,6 +74,7 @@ def orbit_record_json(rec: OrbitRecord, cls: Optional[OrbitClass] = None) -> dic
 
 
 ORBIT_CSV_HEADER = ["t", "x", "y"]
+ORBIT_CSV_ROW = "%.17g,%.17g,%.17g\n"  # float (t, x, y) tuples; the bytes of fmt
 
 
 FIXEDPOINT_CSV_HEADER = [

@@ -62,6 +62,18 @@ class TestSimulate:
         assert forced.read_bytes() == plain.read_bytes()
         assert forced.read_text().startswith("t,x,y\n")
 
+    def test_unallocatable_dense_request_is_a_json_error(self, tmp_path, capsys):
+        # About 6e14 samples: a ValueError record, not a MemoryError traceback.
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--Q", "1.5", "--Omega", "14", "--events", "5",
+                   "--seed-nu", "3", "--sample-dt", "1e-15", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "16777216" in err["message"]
+        assert not out.exists()
+
 
 class TestFixedpointSpectrum:
     def test_json_schema(self, capsys):

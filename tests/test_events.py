@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from relaydde import events
-from relaydde.errors import CornerCollision
+from relaydde.errors import CornerCollision, NonoscillatoryEnd
 from relaydde.events import (
     Event,
     EventKind,
@@ -326,6 +326,25 @@ def _sample_segment_loop(rec, st, t_end, s, r, dt):
         rec.samples.append((st.t + tau, hp.x, hp.y))
 
 
+def _walk_segments(st0, p, max_events):
+    """(state, t_end, s) of each segment, by the scalar step from st0."""
+    r = derive_rates(p)
+    segs, st = [], st0
+    for _ in range(max_events):
+        try:
+            ev, st_next = step(st, p, r)
+        except NonoscillatoryEnd:
+            break
+        segs.append((st, ev.time, p.sigma * st.hist_sign))
+        st = st_next
+    return segs
+
+
+def _one_segment(st, t_end, s):
+    """A segment in the (t0, x0, y0, s, t_end) form simulate hands the sampler."""
+    return (st.t, st.v.x, st.v.y, s, t_end)
+
+
 def _assert_samples_match(got, want):
     # Same rows and bit-identical times; x and y may move by the last ulp of
     # the vectorised exp/expm1/cos/sin.
@@ -335,21 +354,42 @@ def _assert_samples_match(got, want):
         assert abs(x - xr) <= 1e-15 and abs(y - yr) <= 1e-15
 
 
+ORBITS = pytest.mark.parametrize("p, seed_nu", [
+    (P_FAST, 3),                                   # underdamped
+    (P_SLOW, 2),                                   # overdamped
+    (Parameters(Q=0.5, Omega=7.0, sigma=-1), None),  # critical
+], ids=["underdamped", "overdamped", "critical"])
+
+
+def _start(p, seed_nu):
+    return (initial_state(0.5) if seed_nu is None
+            else perturbed_seed(fixed_point(seed_nu, p), 1e-3))
+
+
 class TestDenseSamplingOracle:
-    @pytest.mark.parametrize("p, seed_nu", [
-        (P_FAST, 3),                                   # underdamped
-        (P_SLOW, 2),                                   # overdamped
-        (Parameters(Q=0.5, Omega=7.0, sigma=-1), None),  # critical
-    ], ids=["underdamped", "overdamped", "critical"])
+    @ORBITS
     @pytest.mark.parametrize("dt", [1e-3, 0.0123])
-    def test_orbit_matches_per_sample_loop(self, p, seed_nu, dt, monkeypatch):
-        st0 = (initial_state(0.5) if seed_nu is None
-               else perturbed_seed(fixed_point(seed_nu, p), 1e-3))
+    def test_orbit_matches_per_sample_loop(self, p, seed_nu, dt):
+        st0 = _start(p, seed_nu)
         got = simulate(st0, p, max_events=60, sample_dt=dt)
-        monkeypatch.setattr(events, "_sample_segment", _sample_segment_loop)
-        want = simulate(st0, p, max_events=60, sample_dt=dt)
-        assert got.events == want.events
+        r = derive_rates(p)
+        want = OrbitRecord(params=p)
+        segs = _walk_segments(st0, p, 60)
+        for st, t_end, s in segs:
+            _sample_segment_loop(want, st, t_end, s, r, dt)
+        assert [t_end for _, t_end, _ in segs] == [e.time for e in got.events]
         _assert_samples_match(got.samples, want.samples)
+
+    @ORBITS
+    def test_one_pass_equals_one_call_per_segment(self, p, seed_nu):
+        r, dt = derive_rates(p), 1e-3
+        segs = [_one_segment(*seg) for seg in _walk_segments(_start(p, seed_nu), p, 60)]
+        got, want = OrbitRecord(params=p), OrbitRecord(params=p)
+        events._sample_segments(got, segs, r, dt)
+        for seg in segs:
+            events._sample_segments(want, [seg], r, dt)
+        assert len(got.samples) > 1000
+        assert got.samples == want.samples
 
     @pytest.mark.parametrize("Q", [0.5 + 1e-7, 0.5 - 1e-7])
     def test_segment_starting_in_series(self, Q):
@@ -362,7 +402,7 @@ class TestDenseSamplingOracle:
         st = SystemState(t=0.25, v=Headpoint(0.3, -0.2), zeros=(), hist_sign=1)
         for s in (1, -1):
             got, want = OrbitRecord(params=p), OrbitRecord(params=p)
-            events._sample_segment(got, st, 0.75, s, r, dt)
+            events._sample_segments(got, [_one_segment(st, 0.75, s)], r, dt)
             _sample_segment_loop(want, st, 0.75, s, r, dt)
             _assert_samples_match(got.samples, want.samples)
 
@@ -374,7 +414,7 @@ class TestDenseSamplingOracle:
             math.cosh(r.omega_abs * t_len)  # the unsplit form would overflow
         st = SystemState(t=1.0, v=Headpoint(0.5, 0.1), zeros=(), hist_sign=1)
         got, want = OrbitRecord(params=p), OrbitRecord(params=p)
-        events._sample_segment(got, st, st.t + t_len, -1, r, 0.01)
+        events._sample_segments(got, [_one_segment(st, st.t + t_len, -1)], r, 0.01)
         _sample_segment_loop(want, st, st.t + t_len, -1, r, 0.01)
         assert all(math.isfinite(v) for row in got.samples for v in row)
         _assert_samples_match(got.samples, want.samples)
@@ -385,10 +425,18 @@ class TestDenseSamplingOracle:
         r = derive_rates(P_FAST)
         st = SystemState(t=0.0, v=Headpoint(0.5, 0.0), zeros=(), hist_sign=1)
         got, want = OrbitRecord(params=P_FAST), OrbitRecord(params=P_FAST)
-        events._sample_segment(got, st, 0.5, -1, r, 0.125)
+        events._sample_segments(got, [_one_segment(st, 0.5, -1)], r, 0.125)
         _sample_segment_loop(want, st, 0.5, -1, r, 0.125)
         assert [row[0] for row in got.samples] == [0.0, 0.125, 0.25, 0.375]
         _assert_samples_match(got.samples, want.samples)
+
+    def test_request_past_samples_max_is_refused(self):
+        # About 6e14 samples: refused before any array is allocated.
+        rec = OrbitRecord(params=P_FAST)
+        st = SystemState(t=0.0, v=Headpoint(0.5, 0.0), zeros=(), hist_sign=1)
+        with pytest.raises(ValueError, match="over 16777216"):
+            events._sample_segments(rec, [_one_segment(st, 0.6, -1)], derive_rates(P_FAST), 1e-15)
+        assert rec.samples == []
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_sample_dt_rejected(self, dt):

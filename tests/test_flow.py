@@ -13,8 +13,8 @@ from scipy.optimize import brentq
 from relaydde.events import NODE_TOLERANCE, SystemState, next_z_delay
 from relaydde.flow import (
     Headpoint,
+    _advance,
     apply_flow,
-    apply_flow_array,
     decayed_gcos_gsinc,
     decayed_gcos_gsinc_array,
     first_crossing,
@@ -191,17 +191,19 @@ class TestArrayForm:
         egc, egs = decayed_gcos_gsinc_array(t, r)
         assert np.all(np.isfinite(egc)) and np.all(np.isfinite(egs))
 
-    def test_apply_flow_array_matches_apply_flow(self):
-        v = Headpoint(0.4, -0.3)
+    def test_array_advance_matches_apply_flow(self):
+        # One _advance call over arrays, each entry with its own time, start
+        # and sign, as dense sampling makes it.
+        t = np.linspace(0.0, 0.9, 37)
+        x0 = np.linspace(-0.5, 0.4, 37)
+        y0 = 0.3 - 0.5 * x0
+        s = np.where(np.arange(37) % 3 == 0, 1, -1)
         for p in (Parameters(Q=1.5, Omega=14.0), Parameters(Q=0.4, Omega=7.0)):
             r = derive_rates(p)
-            t = np.linspace(0.0, 0.9, 37)
-            x, y = apply_flow_array(t, v, -1, r)
+            x, y = _advance(*decayed_gcos_gsinc_array(t, r), x0, y0, s, r)
             for k, tk in enumerate(t):
-                hp = apply_flow(float(tk), v, -1, r)
+                hp = apply_flow(float(tk), Headpoint(float(x0[k]), float(y0[k])), int(s[k]), r)
                 assert abs(x[k] - hp.x) <= 1e-15 and abs(y[k] - hp.y) <= 1e-15
-        with pytest.raises(ValueError):
-            apply_flow_array(np.zeros(2), v, 0, r)
 
 
 class TestFlowMatrix:

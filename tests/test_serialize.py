@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydde import serialize
 from relaydde.errors import LostBranch
@@ -56,6 +58,30 @@ def test_write_csv_bytes_match_reference():
     serialize.write_csv(["a", "b", "c"], rows, buf)
     want = "a,b,c\n" + "".join(",".join(_fmt_reference(v) for v in row) + "\n" for row in rows)
     assert buf.getvalue() == want
+
+
+def _fmt_row(row):
+    return ",".join(map(serialize.fmt, row)) + "\n"
+
+
+@pytest.mark.parametrize("x", [v for v in FMT_TABLE if isinstance(v, float)], ids=repr)
+def test_orbit_row_template_matches_fmt(x):
+    for row in ((x, 0.5, -2.0), (1.0 / 3.0, x, x)):
+        assert serialize.ORBIT_CSV_ROW % row == _fmt_row(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)] * 3))
+def test_orbit_row_template_matches_fmt_property(row):
+    assert serialize.ORBIT_CSV_ROW % row == _fmt_row(row)
+
+
+def test_write_csv_row_format_matches_fmt():
+    rows = [(0.1, -0.0, 5e-324), (1.0 / 3.0, float("inf"), -1e-300)]
+    a, b = io.StringIO(), io.StringIO()
+    serialize.write_csv(serialize.ORBIT_CSV_HEADER, rows, a)
+    serialize.write_csv(serialize.ORBIT_CSV_HEADER, rows, b, serialize.ORBIT_CSV_ROW)
+    assert a.getvalue() == b.getvalue()
 
 
 def test_json_line_schema_and_round_trip():
